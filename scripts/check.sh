@@ -13,7 +13,7 @@
 # Usage: scripts/check.sh [--tsan-only | --tier1-only | --crash-sweep |
 #                          --static | --asan | --corruption-sweep |
 #                          --exhaustion-sweep | --recovery-sweep |
-#                          --bench-smoke]
+#                          --bench-smoke | --perfbench-smoke]
 #
 # --bench-smoke runs the group-commit throughput smoke on its own: the
 # 16-writer kFlush section of bench_fig5 over the latency-injected store,
@@ -21,8 +21,13 @@
 # speedup over one writer regresses more than 20% below the checked-in
 # baseline, or when the batch sync amortization stops happening
 # (fsyncs_saved == 0). It also runs bench_recovery_ttfc and fails when the
-# eager/incremental time-to-first-commit ratio regresses more than 20%
+# drain-first/serve-first time-to-first-commit ratio regresses more than 20%
 # below the checked-in recovery_ttfc baseline.
+#
+# --perfbench-smoke runs the end-to-end benchmark (perfbench/run.py) for 5 s
+# on each gated workload, hot-records and restart, and fails when either run
+# exits non-zero — the harness exits 1 when a correctness check fails, e.g.
+# a recovered database file that differs from the committed image.
 #
 # --recovery-sweep runs the incremental-recovery gate on its own:
 # recovery_sweep_test (the crash-schedule sweep driven through
@@ -67,6 +72,7 @@ run_corrupt=1
 run_exhaust=1
 run_recovery=1
 run_bench=0
+run_perfbench=0
 case "${1:-}" in
   --tsan-only) run_tier1=0; run_static=0; run_asan=0; run_crash=0; run_corrupt=0; run_exhaust=0; run_recovery=0 ;;
   --tier1-only) run_static=0; run_tsan=0; run_asan=0; run_crash=0; run_corrupt=0; run_exhaust=0; run_recovery=0 ;;
@@ -77,8 +83,9 @@ case "${1:-}" in
   --exhaustion-sweep) run_tier1=0; run_static=0; run_tsan=0; run_asan=0; run_crash=0; run_corrupt=0; run_recovery=0 ;;
   --recovery-sweep) run_tier1=0; run_static=0; run_tsan=0; run_asan=0; run_crash=0; run_corrupt=0; run_exhaust=0 ;;
   --bench-smoke) run_tier1=0; run_static=0; run_tsan=0; run_asan=0; run_crash=0; run_corrupt=0; run_exhaust=0; run_recovery=0; run_bench=1 ;;
+  --perfbench-smoke) run_tier1=0; run_static=0; run_tsan=0; run_asan=0; run_crash=0; run_corrupt=0; run_exhaust=0; run_recovery=0; run_perfbench=1 ;;
   "") ;;
-  *) echo "usage: $0 [--tsan-only | --tier1-only | --crash-sweep | --static | --asan | --corruption-sweep | --exhaustion-sweep | --recovery-sweep | --bench-smoke]" >&2; exit 2 ;;
+  *) echo "usage: $0 [--tsan-only | --tier1-only | --crash-sweep | --static | --asan | --corruption-sweep | --exhaustion-sweep | --recovery-sweep | --bench-smoke | --perfbench-smoke]" >&2; exit 2 ;;
 esac
 
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -233,11 +240,19 @@ import sys
 measured, baseline = float(sys.argv[1]), float(sys.argv[2])
 floor = 0.8 * baseline
 if measured < floor:
-    sys.exit(f"bench smoke FAILED: eager/incremental TTFC ratio {measured:.2f}x "
+    sys.exit(f"bench smoke FAILED: drain-first/serve-first TTFC ratio {measured:.2f}x "
              f"is below 80% of the checked-in baseline {baseline:.2f}x "
-             f"(floor {floor:.2f}x) — incremental recovery is back on the "
+             f"(floor {floor:.2f}x) — replay is back on the serve-first "
              f"boot path")
 EOF
+fi
+
+if [[ "$run_perfbench" == 1 ]]; then
+  echo "=== perfbench smoke: end-to-end workloads run and check their outputs ==="
+  for workload in hot-records restart; do
+    echo "--- perfbench: $workload"
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 --trace 0
+  done
 fi
 
 echo "All checks passed."

@@ -156,13 +156,14 @@ class Cluster {
 
   // Server-side half of client-failure recovery (§3.5 applied to a dead
   // *client*): declares the node dead, merges its durable log via the
-  // regular log-merge path, replays it into the database files, advances
-  // the per-lock baselines to the dead node's last committed sequence
-  // numbers, publishes the merged records to the record cache (so survivors
-  // can re-fetch updates the dead writer committed but never managed to
-  // propagate), and withdraws the node from every region mapping. The dead
-  // node's log is NOT truncated: replay is idempotent redo, and a later
-  // full recovery may merge it again. Idempotent per node.
+  // regular log-merge path, indexes it for replay (extending an active
+  // recovery, or starting one with its drainer), advances the per-lock
+  // baselines to the dead node's last committed sequence numbers, publishes
+  // the merged records to the record cache (so survivors can re-fetch
+  // updates the dead writer committed but never managed to propagate), and
+  // withdraws the node from every region mapping. The dead node's log is NOT
+  // truncated: replay is idempotent redo, and a later full recovery may
+  // merge it again. Idempotent per node.
   base::Status RecoverDeadClient(rvm::NodeId node);
 
   // --- overload admission control -------------------------------------------
@@ -226,7 +227,7 @@ class Cluster {
   bool TryRepairRegion(rvm::RegionId region);
 
   // Serializes every writer of the permanent database files that runs
-  // through this cluster: recovery/trim replay (ApplyToDatabase), the
+  // through this cluster: recovery and trim replay, the
   // standby checkpoint's region-file writes, and the scrubber's page
   // repairs (TryRepairRegion). Without it a repair_copy could interleave
   // with a concurrent replay on the same page. Public so helpers that write
@@ -234,35 +235,29 @@ class Cluster {
   base::Mutex& DbMutex() LBC_RETURN_CAPABILITY(db_mu_) { return db_mu_; }
 
   void KillServer();
-  // Rebuilds the directory from the merged client logs (replaying them into
-  // the database files along the way — recovery at boot), bumps the restart
+  // Rebuilds the directory from the merged client logs, bumps the restart
   // epoch, and resumes service. Live clients notice the epoch change via
   // their heartbeat thread (or an explicit Client::RejoinServer) and
   // re-register their mappings and applied reports.
   //
-  // In kIncremental recovery mode the boot replay is replaced by a per-page
-  // index over the merged logs (rvm::LogIndex — read-only, so the server is
-  // serving the moment the scan finishes); pages are replayed on first
+  // Recovery at boot builds a per-page index over the merged logs
+  // (rvm::LogIndex — read-only, so the server is serving the moment the
+  // scan finishes) instead of replaying them; pages are replayed on first
   // touch via EnsureRegionRecovered and in the background by a drainer
   // thread this call starts. Once the last page is done the recovery object
-  // retires and steady state is byte-identical to eager replay.
+  // retires. A caller that wants replay-before-serve (drain-first) follows
+  // this call with DrainRecovery().
   base::Status RestartServer();
   bool ServerUp() const;
   // Incremented by every restart; clients track it to detect that their
   // registrations were wiped and must be replayed.
   uint64_t ServerEpoch() const;
 
-  // --- incremental recovery (serve before replay finishes) ------------------
-
-  enum class RecoveryMode { kEager, kIncremental };
-  // Selects how RestartServer and RecoverDeadClient replay logs. The
-  // default, kEager, is the historical stop-the-world replay.
-  void SetRecoveryMode(RecoveryMode mode);
-  RecoveryMode GetRecoveryMode() const;
+  // --- recovery (serve before replay finishes) -----------------------------
 
   // First-touch interlock: materializes every still-pending page of
-  // `region`, waiting (bounded by deadline_ms per page when non-zero, else
-  // indefinitely) on pages another thread is already replaying. Clients
+  // `region` as one batch, waiting (bounded by deadline_ms when non-zero,
+  // else indefinitely) on pages another thread is already replaying. Clients
   // call this before fetching a region image; a no-op when no recovery is
   // active. kDeadlineExceeded on a timed-out wait; DATA_LOSS when a page's
   // pre-image fails its sidecar check (route through TryRepairRegion).
@@ -271,13 +266,14 @@ class Cluster {
   bool RecoveryActive() const;
   uint64_t RecoveryPendingPages() const;
 
-  // Synchronous barrier: replays every pending page on the calling thread
-  // (healing DATA_LOSS pages through the scrubber when one is attached) and
-  // retires the recovery object. Every eager full-replay entry point
-  // (ReplayAndRecordBaselines, RecoverAndTrim, the standby checkpoint)
-  // calls this first — eager replay racing or preceding indexed pages could
-  // certify stale bytes and then truncate the logs they came from. Callers
-  // must NOT hold DbMutex(): page replay acquires it per page.
+  // Synchronous barrier: replays every pending page on the calling thread,
+  // one region per batch (healing DATA_LOSS regions through the scrubber
+  // when one is attached, a bounded number of times), and retires the
+  // recovery object. Every full-replay entry point (ReplayAndRecordBaselines,
+  // RecoverAndTrim, the standby checkpoint) calls this first — a full
+  // replay racing or preceding indexed pages could certify stale bytes and
+  // then truncate the logs they came from. Callers must NOT hold DbMutex():
+  // page replay acquires it per batch.
   base::Status DrainRecovery();
 
   // Background drainer controls. RestartServer/RecoverDeadClient start the
@@ -288,6 +284,9 @@ class Cluster {
 
  private:
   void RecoveryDrainLoop();
+  // DrainRecovery's loop, shared with the drainer thread (which passes its
+  // stop flag and drops the status).
+  base::Status DrainPending(const std::atomic<bool>* stop);
   store::DurableStore* store_;
   netsim::Fabric fabric_;
 
@@ -339,14 +338,12 @@ class Cluster {
   bool server_up_ LBC_GUARDED_BY(mu_) = true;
   uint64_t server_epoch_ LBC_GUARDED_BY(mu_) = 0;
   rvm::Scrubber* scrubber_ LBC_GUARDED_BY(mu_) = nullptr;
-  // Active incremental recovery; null when drained/retired or in eager
-  // mode. shared_ptr so workers materialize pages with mu_ released while
-  // KillServer resets the directory's reference. Retirement (reset once
-  // Drained()) happens only under mu_, which is also where
-  // RecoverDeadClient extends it — an extension therefore cannot land on a
-  // recovery that just retired.
+  // Active recovery; null when drained/retired. shared_ptr so workers
+  // materialize pages with mu_ released while KillServer resets the
+  // directory's reference. Retirement (reset once Drained()) happens only
+  // under mu_, which is also where RecoverDeadClient extends it — an
+  // extension therefore cannot land on a recovery that just retired.
   std::shared_ptr<rvm::IncrementalRecovery> recovery_ LBC_GUARDED_BY(mu_);
-  RecoveryMode recovery_mode_ LBC_GUARDED_BY(mu_) = RecoveryMode::kEager;
   // Time-to-first-commit instrumentation: armed by RestartServer, resolved
   // by the first admitted commit (recovery.first_commit_ms).
   bool first_commit_pending_ LBC_GUARDED_BY(mu_) = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "src/obs/metrics.h"
 #include "src/rvm/log_merge.h"
@@ -33,7 +34,8 @@ base::Result<LogIndex> LogIndex::Build(store::DurableStore* store,
 
 LogIndex LogIndex::FromMerged(std::vector<TransactionRecord> merged) {
   LogIndex index;
-  index.txns_ = std::move(merged);
+  index.txns_.assign(std::make_move_iterator(merged.begin()),
+                     std::make_move_iterator(merged.end()));
   for (size_t i = 0; i < index.txns_.size(); ++i) {
     index.IndexTransaction(static_cast<uint32_t>(i), /*touched=*/nullptr);
   }
@@ -70,15 +72,6 @@ std::vector<LogIndex::PageKey> LogIndex::Pages() const {
   out.reserve(pages_.size());
   for (const auto& [key, slices] : pages_) {
     out.push_back(key);
-  }
-  return out;
-}
-
-std::vector<uint64_t> LogIndex::PagesOf(RegionId region) const {
-  std::vector<uint64_t> out;
-  for (auto it = pages_.lower_bound({region, 0});
-       it != pages_.end() && it->first.first == region; ++it) {
-    out.push_back(it->first.second);
   }
   return out;
 }

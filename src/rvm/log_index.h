@@ -1,9 +1,9 @@
 // Per-page index over the merged §3.4 history (the heart of incremental
 // recovery, after Sauer & Härder's fast REDO-only recovery).
 //
-// Eager recovery replays every merged redo record into the database files
-// before anybody is served, so boot time grows linearly with log volume.
-// The index replaces that replay with a cheap scan: it records, for every
+// Replaying every merged redo record into the database files before anybody
+// is served makes boot time grow linearly with log volume. The index
+// replaces that replay with a cheap scan: it records, for every
 // (region, page) a redo record touches, the ordered list of records that
 // must be applied to materialize the page. Building it reads the logs and
 // merges them in memory — NO database writes — so a server can declare
@@ -20,7 +20,9 @@
 #ifndef SRC_RVM_LOG_INDEX_H_
 #define SRC_RVM_LOG_INDEX_H_
 
+#include <compare>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -39,6 +41,7 @@ class LogIndex {
   struct Slice {
     uint32_t txn = 0;
     uint32_t range = 0;
+    auto operator<=>(const Slice&) const = default;  // merged order
   };
 
   using PageKey = std::pair<RegionId, uint64_t>;
@@ -46,7 +49,7 @@ class LogIndex {
   LogIndex() = default;
 
   // Reads the named logs (missing ones are treated as empty, exactly like
-  // eager recovery), merges them into one serial history via the lock
+  // ReplayLogsIntoDatabase), merges them into one serial history via the lock
   // records, and indexes every touched page. Read-only with respect to the
   // store — the build contributes zero mutating operations, which is what
   // lets a power cut during it degrade to a cut at its start.
@@ -56,13 +59,14 @@ class LogIndex {
   // Builds the index from an already-merged history (caller ran MergeLogs).
   static LogIndex FromMerged(std::vector<TransactionRecord> merged);
 
-  const std::vector<TransactionRecord>& transactions() const { return txns_; }
+  // The merged history. A deque, so Extend never moves a record: a reference
+  // taken under the owner's lock stays valid while later records append.
+  const std::deque<TransactionRecord>& transactions() const { return txns_; }
   bool empty() const { return pages_.empty(); }
   uint64_t page_count() const { return pages_.size(); }
 
   // Ordered keys of every indexed page (deterministic drain order).
   std::vector<PageKey> Pages() const;
-  std::vector<uint64_t> PagesOf(RegionId region) const;
   // nullptr when the page has no indexed records. The returned pointer is
   // invalidated by Extend.
   const std::vector<Slice>* SlicesFor(RegionId region, uint64_t page) const;
@@ -82,7 +86,7 @@ class LogIndex {
  private:
   void IndexTransaction(uint32_t txn_idx, std::vector<PageKey>* touched);
 
-  std::vector<TransactionRecord> txns_;
+  std::deque<TransactionRecord> txns_;
   std::map<PageKey, std::vector<Slice>> pages_;
   std::map<LockId, uint64_t> max_lock_seq_;
   std::map<NodeId, uint64_t> max_commit_seq_;

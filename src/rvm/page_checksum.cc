@@ -122,47 +122,39 @@ base::Result<std::optional<uint32_t>> ChecksumSidecar::ReadEntry(uint64_t page) 
 }
 
 base::Status ChecksumSidecar::WriteEntry(uint64_t page, uint32_t crc) {
-  RETURN_IF_ERROR(EnsureHeader());
-  uint8_t entry[kChecksumEntrySize];
-  uint32_t guard = EntryGuard(page, crc);
-  std::memcpy(entry, &crc, 4);
-  std::memcpy(entry + 4, &guard, 4);
-  RETURN_IF_ERROR(file_->Write(EntryOffset(page), base::ByteSpan(entry, sizeof(entry))));
+  RETURN_IF_ERROR(StoreEntry(page, crc, EntryGuard(page, crc)));
   GlobalIntegrityMetrics()->pages_checksummed->Increment();
   return base::OkStatus();
 }
 
-base::Status ChecksumSidecar::Sync() { return file_->Sync(); }
-
-base::Status UpdatePageChecksums(store::DurableStore* store, RegionId region,
-                                 const std::vector<uint64_t>& pages) {
-  if (pages.empty()) {
-    return base::OkStatus();
-  }
-  ASSIGN_OR_RETURN(auto db, store->Open(RegionFileName(region), /*create=*/false));
-  ASSIGN_OR_RETURN(uint64_t file_size, db->Size());
-  ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store, region, /*create=*/true));
-  std::vector<uint8_t> buf(kDbPageSize);
-  for (uint64_t page : pages) {
-    uint64_t offset = page * kDbPageSize;
-    size_t want = static_cast<size_t>(
-        offset < file_size ? std::min<uint64_t>(kDbPageSize, file_size - offset) : 0);
-    if (want > 0) {
-      RETURN_IF_ERROR(db->ReadExact(offset, buf.data(), want));
-    }
-    RETURN_IF_ERROR(sidecar->WriteEntry(page, PageCrc(buf.data(), want)));
-  }
-  return sidecar->Sync();
+base::Status ChecksumSidecar::ClearEntry(uint64_t page) {
+  return StoreEntry(page, 0, ~EntryGuard(page, 0));
 }
+
+base::Status ChecksumSidecar::StoreEntry(uint64_t page, uint32_t crc, uint32_t guard) {
+  RETURN_IF_ERROR(EnsureHeader());
+  uint8_t entry[kChecksumEntrySize];
+  std::memcpy(entry, &crc, 4);
+  std::memcpy(entry + 4, &guard, 4);
+  return file_->Write(EntryOffset(page), base::ByteSpan(entry, sizeof(entry)));
+}
+
+base::Status ChecksumSidecar::Sync() { return file_->Sync(); }
 
 base::Status RewriteRegionChecksums(store::DurableStore* store, RegionId region) {
   ASSIGN_OR_RETURN(auto db, store->Open(RegionFileName(region), /*create=*/false));
   ASSIGN_OR_RETURN(uint64_t file_size, db->Size());
-  std::vector<uint64_t> pages((file_size + kDbPageSize - 1) / kDbPageSize);
-  for (uint64_t p = 0; p < pages.size(); ++p) {
-    pages[p] = p;
+  if (file_size == 0) {
+    return base::OkStatus();
   }
-  return UpdatePageChecksums(store, region, pages);
+  ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store, region, /*create=*/true));
+  std::vector<uint8_t> buf(kDbPageSize);
+  for (uint64_t offset = 0; offset < file_size; offset += kDbPageSize) {
+    size_t want = static_cast<size_t>(std::min<uint64_t>(kDbPageSize, file_size - offset));
+    RETURN_IF_ERROR(db->ReadExact(offset, buf.data(), want));
+    RETURN_IF_ERROR(sidecar->WriteEntry(offset / kDbPageSize, PageCrc(buf.data(), want)));
+  }
+  return sidecar->Sync();
 }
 
 base::Result<std::vector<uint64_t>> VerifyImagePages(store::DurableStore* store,

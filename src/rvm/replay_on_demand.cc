@@ -1,5 +1,6 @@
 #include "src/rvm/replay_on_demand.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -34,119 +35,102 @@ IncrementalRecovery::IncrementalRecovery(store::DurableStore* store, LogIndex in
 
 base::Status IncrementalRecovery::MaterializeRegion(RegionId region,
                                                     uint64_t deadline_ms) {
-  std::vector<uint64_t> pages;
-  {
-    base::MutexLock lk(mu_);
-    pages = index_.PagesOf(region);
-  }
-  // The deadline bounds each page's wait individually; the common stall is
-  // one page stuck behind another thread's replay, not many.
-  for (uint64_t page : pages) {
-    RETURN_IF_ERROR(MaterializePage(region, page, deadline_ms, /*background=*/false));
-  }
-  return base::OkStatus();
+  return ReplayRegion(region, deadline_ms, /*background=*/false);
 }
 
-std::vector<RangeImage> IncrementalRecovery::CollectRangesLocked(
-    LogIndex::PageKey key) {
-  std::vector<RangeImage> out;
-  const std::vector<LogIndex::Slice>* slices = index_.SlicesFor(key.first, key.second);
-  if (slices == nullptr) {
-    return out;
-  }
-  out.reserve(slices->size());
-  for (const LogIndex::Slice& s : *slices) {
-    out.push_back(index_.transactions()[s.txn].ranges[s.range]);
-  }
-  return out;
-}
-
-base::Status IncrementalRecovery::ReplayPage(LogIndex::PageKey key,
-                                             std::vector<RangeImage> ranges) {
-  base::MutexLock io(*io_mu_);
-  ReplayOptions options;
-  options.verify_preimages = true;
-  options.page_filter = [key](RegionId region, uint64_t page) {
-    return region == key.first && page == key.second;
-  };
-  ReplayWriteSet writes(store_, std::move(options));
-  for (const RangeImage& range : ranges) {
-    RETURN_IF_ERROR(writes.Apply(range));
-  }
-  return writes.Commit();
-}
-
-base::Status IncrementalRecovery::MaterializePage(RegionId region, uint64_t page,
-                                                  uint64_t deadline_ms,
-                                                  bool background) {
+base::Status IncrementalRecovery::ReplayRegion(RegionId region, uint64_t deadline_ms,
+                                               bool background) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
-  const LogIndex::PageKey key{region, page};
   base::MutexLock lk(mu_);
   for (;;) {
-    auto it = pages_.find(key);
-    if (it == pages_.end() || it->second.state == PageState::kDone) {
-      return base::OkStatus();
+    std::vector<uint64_t> claimed;  // ascending page numbers
+    std::vector<uint64_t> gens;     // each claimed page's generation at claim
+    std::vector<LogIndex::Slice> slices;
+    bool in_flight = false;
+    for (auto it = pages_.lower_bound({region, 0});
+         it != pages_.end() && it->first.first == region; ++it) {
+      PageEntry& entry = it->second;
+      if (entry.state == PageState::kInProgress) {
+        in_flight = true;
+      } else if (entry.state == PageState::kPending) {
+        entry.state = PageState::kInProgress;
+        claimed.push_back(it->first.second);
+        gens.push_back(entry.gen);
+        const std::vector<LogIndex::Slice>* page_slices =
+            index_.SlicesFor(region, it->first.second);
+        slices.insert(slices.end(), page_slices->begin(), page_slices->end());
+      }
     }
-    if (it->second.state == PageState::kInProgress) {
-      if (deadline_ms > 0) {
-        if (!cv_.WaitUntil(lk, deadline)) {
-          return base::DeadlineExceeded(
-              "timed out waiting for page replay: region " + std::to_string(region) +
-              " page " + std::to_string(page));
-        }
-      } else {
+    if (claimed.empty()) {
+      if (!in_flight || background) {
+        return base::OkStatus();
+      }
+      if (deadline_ms == 0) {
         cv_.Wait(lk);
+      } else if (!cv_.WaitUntil(lk, deadline)) {
+        return base::DeadlineExceeded("timed out waiting for page replay: region " +
+                                      std::to_string(region));
       }
       continue;
     }
-    // kPending: claim it. The ranges are copied under mu_ because Extend may
-    // reallocate the index's transaction storage while we replay.
-    it->second.state = PageState::kInProgress;
-    const uint64_t gen = it->second.gen;
-    std::vector<RangeImage> ranges = CollectRangesLocked(key);
+    // A range spanning several claimed pages is applied once; merged order
+    // is slice order, so every page still sees its redo in sequence.
+    std::sort(slices.begin(), slices.end());
+    slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
+    std::vector<const RangeImage*> ranges;
+    ranges.reserve(slices.size());
+    for (const LogIndex::Slice& s : slices) {
+      ranges.push_back(&index_.transactions()[s.txn].ranges[s.range]);
+    }
     lk.Unlock();
-    base::Status replayed = ReplayPage(key, std::move(ranges));
+    base::Status replayed = [&]() -> base::Status {
+      base::MutexLock io(*io_mu_);
+      ReplayOptions options;
+      options.verify_preimages = true;
+      options.page_filter = [region, &claimed](RegionId r, uint64_t page) {
+        return r == region && std::binary_search(claimed.begin(), claimed.end(), page);
+      };
+      ReplayWriteSet writes(store_, std::move(options));
+      for (const RangeImage* range : ranges) {
+        RETURN_IF_ERROR(writes.Apply(*range));
+      }
+      return writes.Commit();
+    }();
     lk.Lock();
-    PageEntry& entry = pages_[key];
-    if (!replayed.ok()) {
-      entry.state = PageState::kPending;  // stays recoverable (repair + retry)
-      cv_.NotifyAll();
+    auto* m = GlobalIncrementalRecoveryMetrics();
+    for (size_t i = 0; i < claimed.size(); ++i) {
+      PageEntry& entry = pages_[{region, claimed[i]}];
+      if (!replayed.ok() || entry.gen != gens[i]) {
+        // Failed: stays recoverable (repair + retry). Re-extended: replay
+        // again so the page is never done while redo for it is outstanding.
+        entry.state = PageState::kPending;
+        continue;
+      }
+      entry.state = PageState::kDone;
+      --pending_;
+      (background ? m->pages_background : m->pages_on_demand)->Increment();
+    }
+    cv_.NotifyAll();
+    if (!replayed.ok() || background) {
       return replayed;
     }
-    if (entry.gen != gen) {
-      // Extend indexed new records for this page mid-replay; go again so
-      // the page is never marked done while redo for it is outstanding.
-      entry.state = PageState::kPending;
-      cv_.NotifyAll();
-      continue;
-    }
-    entry.state = PageState::kDone;
-    --pending_;
-    cv_.NotifyAll();
-    auto* m = GlobalIncrementalRecoveryMetrics();
-    (background ? m->pages_background : m->pages_on_demand)->Increment();
-    return base::OkStatus();
   }
 }
 
 base::Result<bool> IncrementalRecovery::DrainStep(RegionId* failed_region) {
-  LogIndex::PageKey key{};
+  RegionId region = 0;
   {
     base::MutexLock lk(mu_);
     for (;;) {
       if (pending_ == 0) {
         return false;
       }
-      bool found = false;
-      for (const auto& [k, entry] : pages_) {
-        if (entry.state == PageState::kPending) {
-          key = k;
-          found = true;
-          break;
-        }
-      }
-      if (found) {
+      auto it = std::find_if(pages_.begin(), pages_.end(), [](const auto& page) {
+        return page.second.state == PageState::kPending;
+      });
+      if (it != pages_.end()) {
+        region = it->first.first;
         break;
       }
       // Every remaining page is in flight on another thread; wait for one
@@ -154,11 +138,10 @@ base::Result<bool> IncrementalRecovery::DrainStep(RegionId* failed_region) {
       cv_.Wait(lk);
     }
   }
-  base::Status st = MaterializePage(key.first, key.second, /*deadline_ms=*/0,
-                                    /*background=*/true);
+  base::Status st = ReplayRegion(region, /*deadline_ms=*/0, /*background=*/true);
   if (!st.ok()) {
     if (failed_region != nullptr) {
-      *failed_region = key.first;
+      *failed_region = region;
     }
     return st;
   }

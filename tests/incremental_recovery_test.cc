@@ -5,22 +5,27 @@
 //
 //   * the LogIndex itself (mirrors the merged history; Extend dedups by
 //     per-node commit sequence),
-//   * the serve-before-drain window and post-drain byte identity with
-//     eager replay,
+//   * the serve-before-drain window and post-drain byte identity with an
+//     independent full replay of the same crashed store,
 //   * the op_deadline_ms bound on a first-touch wait (the transaction — and
 //     the client — stay usable after a DEADLINE_EXCEEDED map),
 //   * lazily discovered pre-image rot failing certification and routing
-//     through the Scrubber instead of being replayed over,
+//     through the Scrubber instead of being replayed over — on first touch
+//     and on the plain restart-then-drain boot,
+//   * a boot after a power cut at any op of a trim replay draining cleanly
+//     (an interrupted replay's pages never read as rot),
 //   * a dead-client recovery that no longer starves the calling heartbeat
 //     thread behind a synchronous replay, and
 //   * the boot-record dedup that keeps a late RecoverDeadClient from
 //     rolling already-replayed pages backwards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,9 +38,11 @@
 #include "src/rvm/log_io.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/page_checksum.h"
+#include "src/rvm/recovery.h"
 #include "src/rvm/replay_on_demand.h"
 #include "src/rvm/scrub.h"
 #include "src/store/corrupting_store.h"
+#include "src/store/crash_point_store.h"
 #include "src/store/mem_store.h"
 #include "src/store/replicated_store.h"
 #include "src/store/resource_store.h"
@@ -68,6 +75,17 @@ std::vector<uint8_t> ReadFile(store::DurableStore* store, const std::string& nam
     EXPECT_TRUE(file->ReadExact(0, bytes.data(), bytes.size()).ok());
   }
   return bytes;
+}
+
+// Copies every file of `from` into `to` and makes it durable.
+void CopyStore(store::DurableStore* from, store::DurableStore* to) {
+  const std::vector<std::string> names = *from->List();
+  for (const std::string& name : names) {
+    std::vector<uint8_t> bytes = ReadFile(from, name);
+    auto file = std::move(*to->Open(name, /*create=*/true));
+    ASSERT_TRUE(file->Write(0, base::ByteSpan(bytes.data(), bytes.size())).ok());
+    ASSERT_TRUE(file->Sync().ok());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -153,9 +171,9 @@ TEST(LogIndex, MirrorsMergedHistory) {
   EXPECT_EQ(from_merged.Pages(), built->Pages());
   EXPECT_EQ(from_merged.MaxLockSeq(), built->MaxLockSeq());
   EXPECT_EQ(5u, built->page_count());  // A:{0,1,2} + B:{0,1}
-  EXPECT_EQ((std::vector<uint64_t>{0, 1, 2}), built->PagesOf(kRegionA));
-  EXPECT_EQ((std::vector<uint64_t>{0, 1}), built->PagesOf(kRegionB));
-  EXPECT_TRUE(built->PagesOf(99).empty());
+  EXPECT_EQ((std::vector<rvm::LogIndex::PageKey>{
+                {kRegionA, 0}, {kRegionA, 1}, {kRegionA, 2}, {kRegionB, 0}, {kRegionB, 1}}),
+            built->Pages());
 
   // Per-lock maxima match the workload's acquire counts.
   EXPECT_EQ(2u, built->MaxLockSeq().at(kLockA1));
@@ -220,22 +238,28 @@ TEST(LogIndex, ExtendDedupsByCommitSeq) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Serve before the drain finishes; byte-identical to eager afterwards
+// 2. Serve before the drain finishes; byte-identical to a full replay after
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
-  // Twin clusters, identical workload: one restarts eagerly (the reference
-  // bytes), one incrementally.
-  Fixture eager;
-  eager.CommitWorkload();
-  eager.cluster->KillServer();
-  ASSERT_TRUE(eager.cluster->RestartServer().ok());
-  ASSERT_FALSE(eager.cluster->RecoveryActive());  // eager mode has no window
-
   Fixture incr;
   incr.CommitWorkload();
   incr.cluster->KillServer();
-  incr.cluster->SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
+
+  // The oracle: a full replay of the merged logs into a copy of the same
+  // crashed store, by the trim paths' replay rather than the recovery path
+  // under test.
+  store::MemStore oracle;
+  CopyStore(&incr.mem, &oracle);
+  auto history = rvm::MergeLogs(&oracle, {rvm::LogFileName(1), rvm::LogFileName(2)});
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  ASSERT_TRUE(rvm::ApplyToDatabase(&oracle, *history).ok());
+  std::map<rvm::LockId, uint64_t> max_seq;
+  for (const auto& txn : *history) {
+    for (const auto& lock : txn.locks) {
+      max_seq[lock.lock_id] = std::max(max_seq[lock.lock_id], lock.sequence);
+    }
+  }
 
   const uint64_t on_demand_before = Counter("recovery.pages_on_demand");
   const uint64_t background_before = Counter("recovery.pages_background");
@@ -248,10 +272,10 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
     EXPECT_TRUE(incr.cluster->ServerUp());
     EXPECT_TRUE(incr.cluster->RecoveryActive());
     EXPECT_EQ(kPagesA + kPagesB, incr.cluster->RecoveryPendingPages());
-    // The directory is already rebuilt — baselines match the eager twin
-    // before a single page has been replayed.
+    // The directory is already rebuilt — baselines match the merged
+    // history before a single page has been replayed.
     for (rvm::LockId lock : {kLockA1, kLockA2, kLockB1, kLockB2}) {
-      EXPECT_EQ(eager.cluster->BaselineSeq(lock), incr.cluster->BaselineSeq(lock));
+      EXPECT_EQ(max_seq[lock], incr.cluster->BaselineSeq(lock));
     }
   }
 
@@ -267,13 +291,13 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
   EXPECT_FALSE(incr.cluster->RecoveryActive());
   EXPECT_EQ(0u, incr.cluster->RecoveryPendingPages());
 
-  // Steady state after the drain is byte-identical to eager replay:
-  // database files AND checksum sidecars.
+  // Steady state after the drain is byte-identical to the oracle's full
+  // replay: database files AND checksum sidecars.
   for (rvm::RegionId region : {kRegionA, kRegionB}) {
-    EXPECT_EQ(ReadFile(&eager.mem, rvm::RegionFileName(region)),
+    EXPECT_EQ(ReadFile(&oracle, rvm::RegionFileName(region)),
               ReadFile(&incr.mem, rvm::RegionFileName(region)))
         << "region " << region;
-    EXPECT_EQ(ReadFile(&eager.mem, rvm::ChecksumFileName(region)),
+    EXPECT_EQ(ReadFile(&oracle, rvm::ChecksumFileName(region)),
               ReadFile(&incr.mem, rvm::ChecksumFileName(region)))
         << "sidecar " << region;
   }
@@ -296,7 +320,6 @@ TEST(IncrementalRecovery, MapRegionDeadlineBoundsWaitOnInFlightPage) {
   Fixture fx;
   fx.CommitWorkload();
   fx.cluster->KillServer();
-  fx.cluster->SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
 
   std::unique_ptr<lbc::Client> c;
   std::thread claimant;
@@ -385,7 +408,6 @@ TEST(IncrementalRecovery, FirstTouchRotRoutesThroughScrubber) {
   }
 
   cluster.KillServer();
-  cluster.SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
   const uint64_t failures_before = Counter("integrity.verify_failures");
   const uint64_t repaired_before = Counter("scrub.repaired_from_replica");
   const std::string db = rvm::RegionFileName(kRegion);
@@ -419,6 +441,152 @@ TEST(IncrementalRecovery, FirstTouchRotRoutesThroughScrubber) {
   EXPECT_TRUE(failed->empty());
 }
 
+// The same rot met by the plain boot sequence — KillServer, RestartServer,
+// DrainRecovery — rather than a client's first touch. `store` is the
+// cluster's store; `rot` is where the bit is flipped (the store itself or
+// one replica under it). Phase 1 certifies full pages and trims their
+// records, so the database page and its sidecar entry are the only copy;
+// phase 2 leaves a partial-page record — the only redo the boot index holds
+// for page 1. Returns the status of the drain; *expected receives the
+// committed image.
+base::Status BootOverRottenPreImage(store::DurableStore* store,
+                                    store::CorruptionInjectingStore* rot,
+                                    rvm::Scrubber* scrubber,
+                                    std::vector<uint8_t>* expected,
+                                    std::vector<uint8_t>* sidecar_before_boot) {
+  constexpr rvm::RegionId kRegion = 8;
+  constexpr uint64_t kLen = 2 * rvm::kDbPageSize;
+  lbc::Cluster cluster(store);
+  cluster.DefineLock(220, kRegion, 1);
+  cluster.DefineLock(221, kRegion, 3);
+  cluster.SetScrubber(scrubber);
+  expected->assign(kLen, 0);
+  auto commit = [&](lbc::Client* c, rvm::LockId lock, uint64_t offset, uint64_t len,
+                    uint8_t fill) {
+    lbc::Transaction txn = c->Begin();
+    ASSERT_TRUE(txn.Acquire(lock).ok());
+    ASSERT_TRUE(txn.SetRange(kRegion, offset, len).ok());
+    std::memset(c->GetRegion(kRegion)->data() + offset, fill, len);
+    ASSERT_TRUE(txn.Commit(rvm::CommitMode::kFlush).ok());
+    std::memset(expected->data() + offset, fill, len);
+  };
+  {
+    auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+    EXPECT_TRUE(a->MapRegion(kRegion, kLen).ok());
+    commit(a.get(), 220, 0, kLen, 0x31);
+  }
+  RETURN_IF_ERROR(cluster.RecoverAndTrim({1}));
+  {
+    auto b = std::move(*lbc::Client::Create(&cluster, 3, {}));
+    EXPECT_TRUE(b->MapRegion(kRegion, kLen).ok());
+    commit(b.get(), 221, rvm::kDbPageSize + 3000, 100, 0x99);
+  }
+  cluster.KillServer();
+  // Rot page 1 outside the pending redo range.
+  RETURN_IF_ERROR(rot->FlipBit(rvm::RegionFileName(kRegion), rvm::kDbPageSize + 7000, 2));
+  *sidecar_before_boot = ReadFile(store, rvm::ChecksumFileName(kRegion));
+  RETURN_IF_ERROR(cluster.RestartServer());
+  return cluster.DrainRecovery();
+}
+
+TEST(IncrementalRecovery, BootRecoveryNeverCertifiesRotWithoutScrubber) {
+  store::MemStore mem;
+  store::CorruptionInjectingStore store(&mem, 0xB007);
+  std::vector<uint8_t> expected;
+  std::vector<uint8_t> sidecar_before;
+  base::Status drained =
+      BootOverRottenPreImage(&store, &store, nullptr, &expected, &sidecar_before);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(base::StatusCode::kDataLoss, drained.code()) << drained.ToString();
+  // Nothing was certified over the rot: the sidecar still holds the
+  // pre-rot checksum, so the page keeps failing verification loudly.
+  EXPECT_EQ(sidecar_before, ReadFile(&store, rvm::ChecksumFileName(8)));
+  std::vector<uint8_t> image = ReadFile(&store, rvm::RegionFileName(8));
+  auto failed = rvm::VerifyImagePages(&store, 8, image.data(), image.size(), image.size());
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(std::vector<uint64_t>{1}, *failed);
+}
+
+TEST(IncrementalRecovery, BootRecoveryHealsRotThroughScrubber) {
+  store::MemStore backends[2];
+  store::CorruptionInjectingStore rot(&backends[0], 0xB008);
+  store::CorruptionInjectingStore clean(&backends[1], 0xB009);
+  store::ReplicatedStore replicated(std::vector<store::DurableStore*>{&rot, &clean});
+  rvm::Scrubber scrubber(&replicated, &replicated);
+  std::vector<uint8_t> expected;
+  std::vector<uint8_t> sidecar_before;
+  base::Status drained =
+      BootOverRottenPreImage(&replicated, &rot, &scrubber, &expected, &sidecar_before);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  EXPECT_EQ(expected, ReadFile(&backends[0], rvm::RegionFileName(8)));
+  EXPECT_EQ(expected, ReadFile(&backends[1], rvm::RegionFileName(8)));
+  std::vector<uint8_t> image = ReadFile(&replicated, rvm::RegionFileName(8));
+  auto failed =
+      rvm::VerifyImagePages(&replicated, 8, image.data(), image.size(), image.size());
+  ASSERT_TRUE(failed.ok());
+  EXPECT_TRUE(failed->empty());
+}
+
+// Boot recovery verifies pre-images, so a page that an interrupted trim
+// replay left behind must not read as rot. The trim replays without that
+// check and syncs its data before its sidecar entries; a power cut between
+// the two must leave entries the next boot can trust or ignore — never the
+// old entry over the new bytes. Cuts before every mutating op of a trim
+// (replay, sidecar update, log truncation); each reboot must drain cleanly
+// to the committed image.
+TEST(IncrementalRecovery, BootAfterTrimCrashAtEveryOpDrainsClean) {
+  constexpr rvm::RegionId kRegion = 12;
+  constexpr uint64_t kLen = 2 * rvm::kDbPageSize;
+  auto define_locks = [](lbc::Cluster* cluster) {
+    cluster->DefineLock(230, kRegion, 1);
+    cluster->DefineLock(231, kRegion, 3);
+  };
+  bool trim_completed = false;
+  uint64_t cut = 0;
+  for (; !trim_completed; ++cut) {
+    store::MemStore mem;
+    store::CrashPointStore store(&mem);
+    store.SetCrashHook([&mem] { mem.Crash(0); });
+    std::vector<uint8_t> expected(kLen, 0);
+    {
+      lbc::Cluster cluster(&store);
+      define_locks(&cluster);
+      auto commit = [&](rvm::NodeId node, rvm::LockId lock, uint64_t offset, uint64_t len,
+                        uint8_t fill) {
+        auto c = std::move(*lbc::Client::Create(&cluster, node, {}));
+        ASSERT_TRUE(c->MapRegion(kRegion, kLen).ok());
+        lbc::Transaction txn = c->Begin();
+        ASSERT_TRUE(txn.Acquire(lock).ok());
+        ASSERT_TRUE(txn.SetRange(kRegion, offset, len).ok());
+        std::memset(c->GetRegion(kRegion)->data() + offset, fill, len);
+        ASSERT_TRUE(txn.Commit(rvm::CommitMode::kFlush).ok());
+        std::memset(expected.data() + offset, fill, len);
+      };
+      // A certified base (full pages, trimmed), then a partial-page record
+      // whose trim the cut interrupts.
+      commit(1, 230, 0, kLen, 0x41);
+      ASSERT_TRUE(cluster.RecoverAndTrim({1}).ok());
+      commit(3, 231, rvm::kDbPageSize + 500, 64, 0x42);
+      store.ResetOpCount();
+      store.ArmCrashAtOp(cut);
+      trim_completed = cluster.RecoverAndTrim({3}).ok();
+      cluster.KillServer();
+    }
+    store.Disarm();
+    lbc::Cluster rebooted(&store);
+    define_locks(&rebooted);
+    rebooted.KillServer();
+    ASSERT_TRUE(rebooted.RestartServer().ok()) << "cut before op " << cut;
+    base::Status drained = rebooted.DrainRecovery();
+    ASSERT_TRUE(drained.ok()) << "cut before op " << cut << ": " << drained.ToString();
+    EXPECT_EQ(expected, ReadFile(&store, rvm::RegionFileName(kRegion)))
+        << "cut before op " << cut;
+  }
+  // Replay, sidecar clear + rewrite, and truncation were all cut into.
+  EXPECT_GT(cut, 8u);
+}
+
 // ---------------------------------------------------------------------------
 // 5. Dead-client recovery no longer starves the heartbeat thread
 // ---------------------------------------------------------------------------
@@ -433,7 +601,6 @@ TEST(IncrementalRecovery, DeadClientRecoveryKeepsHeartbeatsFlowing) {
   store::ResourceStore store(&mem);  // slow-disk injection surface
   lbc::Cluster cluster(&store);
   cluster.DefineLock(kLock, kRegion, 1);
-  cluster.SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
 
   auto survivor = std::move(*lbc::Client::Create(&cluster, 1, {}));
   ASSERT_TRUE(survivor->MapRegion(kRegion, kLen).ok());
@@ -454,10 +621,9 @@ TEST(IncrementalRecovery, DeadClientRecoveryKeepsHeartbeatsFlowing) {
     victim->Disconnect();
   }
 
-  // Every database-file I/O now costs 25 ms. An eager RecoverDeadClient
-  // would replay all 12 pages synchronously on the calling thread (several
-  // I/Os per page — well over a second); the incremental path only reads
-  // the log, which is not delayed.
+  // Every database-file I/O now costs 25 ms. Replaying all 12 pages
+  // synchronously on the calling thread would take well over a second;
+  // RecoverDeadClient only reads the log, which is not delayed.
   store.InjectLatency(rvm::RegionFileName(kRegion), 25'000'000, 0);
 
   // Emulate the survivor's heartbeat thread: beat every 20 ms, handle the
@@ -527,7 +693,6 @@ TEST(IncrementalRecovery, LateDeadClientRecoveryDedupsBootRecords) {
 
   // Boot recovery indexes and drains the victim's records.
   cluster.KillServer();
-  cluster.SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
   ASSERT_TRUE(cluster.RestartServer().ok());
   ASSERT_TRUE(survivor->RejoinServer().ok());
   ASSERT_TRUE(cluster.DrainRecovery().ok());

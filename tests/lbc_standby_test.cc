@@ -1,14 +1,17 @@
 // Standby-driven checkpointing: log trimming without quiescing writers,
-// crash recovery from the trimmed state, and the selective trim's coverage
-// rules (multi-lock records, lock-free records).
+// crash recovery from the trimmed state, the selective trim's coverage
+// rules (multi-lock records, lock-free records), and lock-rank order under
+// the checkpoint.
 #include "src/lbc/standby.h"
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "src/base/sync.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
 
@@ -195,6 +198,36 @@ TEST(Standby, MultiLockRecordKeptUntilBothLocksCovered) {
   ASSERT_TRUE(writer->rvm()->TrimLogWithBaselines(full).ok());
   kept = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
   EXPECT_TRUE(kept.empty());
+}
+
+// The checkpoint holds the cluster's database-writer lock while it writes
+// the images; nothing it does under that lock may take the standby's
+// lower-ranked client lock. Optimized builds leave the lock-order detector
+// off, so the test forces it on and collects reports instead of aborting.
+TEST(Standby, CheckpointRespectsLockRanks) {
+  base::Mutex reports_mu{"test.standby.reports"};
+  std::vector<std::string> reports;
+  const bool was_enabled = base::LockOrderEnabled();
+  base::LockOrderTestOnlyReset();
+  base::SetLockOrderEnabled(true);
+  base::SetLockOrderHandler([&](const base::LockOrderReport& report) {
+    base::MutexLock guard(reports_mu);
+    reports.push_back(report.message);
+  });
+  {
+    StandbyFixture fx(1);
+    CommitByte(fx.writers[0].get(), 0, 7);
+    for (int i = 0; i < 2000 && fx.standby->stats().updates_received < 1; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(lbc::CheckpointFromStandby(fx.cluster.get(), fx.standby.get(),
+                                           fx.WriterPtrs())
+                    .ok());
+  }
+  base::SetLockOrderHandler(nullptr);
+  base::SetLockOrderEnabled(was_enabled);
+  base::LockOrderTestOnlyReset();
+  EXPECT_TRUE(reports.empty()) << reports.front();
 }
 
 }  // namespace
