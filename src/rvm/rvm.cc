@@ -638,6 +638,7 @@ base::Status Rvm::ResetLog() {
     base::MutexLock log_lock(log_mu_);
     RETURN_IF_ERROR(log_->Reset());
     log_dirty_ = false;
+    ++log_generation_;
   }
   // The trim that just ran ends the current backpressure episode: the next
   // stall may fire the hook again.
@@ -647,76 +648,95 @@ base::Status Rvm::ResetLog() {
 }
 
 base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines) {
-  // Holds mu_ for the whole trim (commits must not stamp sequence numbers
-  // against a log that is being rewritten underneath them) and log_mu_ for
-  // the log swap itself — which also waits out any in-flight batch leader,
-  // since the leader writes under log_mu_ without holding mu_.
-  base::MutexLock lock(mu_);
   if (!options_.disk_logging) {
     return base::OkStatus();
   }
-  base::MutexLock log_lock(log_mu_);
-  RETURN_IF_ERROR(log_->Sync());
-
-  // Read the current log and keep only the records the checkpoint does not
-  // cover. A record is covered iff it has lock records and every one of
-  // them is at or below its lock's baseline.
-  ASSIGN_OR_RETURN(auto file, store_->Open(LogFileName(node_), /*create=*/false));
-  LogReader reader(file.get());
-  std::vector<std::vector<uint8_t>> kept;
-  std::vector<uint8_t> payload;
-  bool at_end = false;
-  while (true) {
-    RETURN_IF_ERROR(reader.ReadNext(&payload, &at_end));
-    if (at_end) {
-      break;
-    }
-    base::ByteSpan span(payload.data(), payload.size());
-    ASSIGN_OR_RETURN(LogRecordKind kind, PeekKind(span));
-    bool covered = false;
-    if (kind == LogRecordKind::kTransaction) {
-      TransactionRecord txn;
-      RETURN_IF_ERROR(DecodeTransaction(span, &txn));
-      covered = !txn.locks.empty();
-      for (const auto& lr : txn.locks) {
-        auto it = baselines.find(lr.lock_id);
-        if (it == baselines.end() || lr.sequence > it->second) {
-          covered = false;
-          break;
+  // Reads frames until the end of the valid log and keeps the records the
+  // checkpoint does not cover. A record is covered iff it has lock records
+  // and every one of them is at or below its lock's baseline.
+  auto scan = [&baselines](LogReader* reader,
+                           std::vector<std::vector<uint8_t>>* kept) -> base::Status {
+    std::vector<uint8_t> payload;
+    bool at_end = false;
+    while (true) {
+      RETURN_IF_ERROR(reader->ReadNext(&payload, &at_end));
+      if (at_end) {
+        return base::OkStatus();
+      }
+      base::ByteSpan span(payload.data(), payload.size());
+      ASSIGN_OR_RETURN(LogRecordKind kind, PeekKind(span));
+      bool covered = false;
+      if (kind == LogRecordKind::kTransaction) {
+        TransactionRecord txn;
+        RETURN_IF_ERROR(DecodeTransaction(span, &txn));
+        covered = !txn.locks.empty();
+        for (const auto& lr : txn.locks) {
+          auto it = baselines.find(lr.lock_id);
+          if (it == baselines.end() || lr.sequence > it->second) {
+            covered = false;
+            break;
+          }
         }
       }
+      if (!covered) {
+        kept->push_back(payload);
+      }
     }
-    if (!covered) {
-      kept.push_back(payload);
-    }
-  }
+  };
 
-  // Crash-safe swap: build the trimmed log beside the live one, sync it,
-  // then atomically rename it into place and reopen our writer on it. A
-  // crash before the rename leaves the old log; after, the new one — both
-  // are complete when combined with the caller's checkpoint.
-  const std::string temp_name = LogFileName(node_) + ".trim";
-  {
-    ASSIGN_OR_RETURN(auto temp, store_->Open(temp_name, /*create=*/true));
-    RETURN_IF_ERROR(temp->Truncate(0));
-    LogWriter writer(std::move(temp));
-    for (const auto& record : kept) {
-      RETURN_IF_ERROR(
-          writer.Append(base::ByteSpan(record.data(), record.size()), /*sync_now=*/false));
+  // Two phases, neither holding mu_: begins, commits and peer applies run
+  // throughout, and batch leaders keep appending until the swap. The first
+  // attempt scans the synced log with no lock held, then takes log_mu_ to
+  // read only the frames appended meanwhile (the same reader picks up where
+  // it stopped) and swap. If ResetLog, TruncateLog or another trim replaced
+  // the file in between, the generation moved and the scan is stale; the
+  // retry holds log_mu_ for the whole scan, so it cannot be raced again.
+  const std::string log_name = LogFileName(node_);
+  for (bool hold_for_scan : {false, true}) {
+    base::MutexLock log_lock(log_mu_);
+    RETURN_IF_ERROR(log_->Sync());
+    const uint64_t generation = log_generation_;
+    ASSIGN_OR_RETURN(auto file, store_->Open(log_name, /*create=*/false));
+    LogReader reader(file.get());
+    std::vector<std::vector<uint8_t>> kept;
+    if (!hold_for_scan) {
+      log_lock.Unlock();
+      RETURN_IF_ERROR(scan(&reader, &kept));
+      log_lock.Lock();
+      if (log_generation_ != generation) {
+        continue;
+      }
     }
-    RETURN_IF_ERROR(writer.Sync());
+    RETURN_IF_ERROR(scan(&reader, &kept));
+
+    // Crash-safe swap: build the trimmed log beside the live one, sync it,
+    // then atomically rename it into place and reopen our writer on it. A
+    // crash before the rename leaves the old log; after, the new one — both
+    // are complete when combined with the caller's checkpoint.
+    const std::string temp_name = log_name + ".trim";
+    {
+      ASSIGN_OR_RETURN(auto temp, store_->Open(temp_name, /*create=*/true));
+      RETURN_IF_ERROR(temp->Truncate(0));
+      LogWriter writer(std::move(temp));
+      std::vector<base::ByteSpan> payloads(kept.begin(), kept.end());
+      RETURN_IF_ERROR(writer.AppendBatch(payloads, /*sync_now=*/false));
+      RETURN_IF_ERROR(writer.Sync());
+    }
+    RETURN_IF_ERROR(store_->Rename(temp_name, log_name));
+    // Make the swap itself durable. Without this barrier, a crash after the
+    // rename can resurrect the *old* log inode under the live name while the
+    // commits we append below land only on the new (unlinked-at-crash) inode —
+    // recovery would then silently drop them. The crash explorer pins this.
+    RETURN_IF_ERROR(store_->SyncDir());
+    ASSIGN_OR_RETURN(auto reopened, store_->Open(log_name, /*create=*/false));
+    ASSIGN_OR_RETURN(uint64_t new_size, reopened->Size());
+    log_ = std::make_unique<LogWriter>(std::move(reopened), new_size);
+    log_dirty_ = false;
+    ++log_generation_;
+    break;
   }
-  RETURN_IF_ERROR(store_->Rename(temp_name, LogFileName(node_)));
-  // Make the swap itself durable. Without this barrier, a crash after the
-  // rename can resurrect the *old* log inode under the live name while the
-  // commits we append below land only on the new (unlinked-at-crash) inode —
-  // recovery would then silently drop them. The crash explorer pins this.
-  RETURN_IF_ERROR(store_->SyncDir());
-  ASSIGN_OR_RETURN(auto reopened, store_->Open(LogFileName(node_), /*create=*/false));
-  ASSIGN_OR_RETURN(uint64_t new_size, reopened->Size());
-  log_ = std::make_unique<LogWriter>(std::move(reopened), new_size);
-  log_dirty_ = false;
-  log_lock.Unlock();
+  // The trim that just ran ends the current backpressure episode.
+  base::MutexLock lock(mu_);
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();
@@ -733,6 +753,7 @@ base::Status Rvm::TruncateLog() {
     RETURN_IF_ERROR(ReplayLogsIntoDatabase(store_, {LogFileName(node_)}));
     RETURN_IF_ERROR(log_->Reset());
     log_dirty_ = false;
+    ++log_generation_;
   }
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();

@@ -216,8 +216,14 @@ class Rvm {
   // every committed record whose lock sequence numbers are ALL at or below
   // the given baselines (those updates are reflected in the checkpoint the
   // caller just wrote); everything else — newer records and lock-free
-  // records — is kept, in order. Serialized against commits.
-  [[nodiscard]] base::Status TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines);
+  // records — is kept, in order. Runs in two phases so commits on this
+  // node keep going: the log is scanned with no lock held, then log_mu_
+  // alone is taken to copy the frames appended meanwhile and swap in the
+  // trimmed file. The instance lock is taken only briefly at the end, to
+  // close the backpressure episode. A ResetLog, TruncateLog or trim that
+  // swaps the file mid-scan forces one rescan under log_mu_.
+  [[nodiscard]] base::Status TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines)
+      LBC_EXCLUDES(mu_, log_mu_);
 
   // --- commit-pipeline test gate -------------------------------------------
 
@@ -320,6 +326,9 @@ class Rvm {
   std::unique_ptr<LogWriter> log_ LBC_GUARDED_BY(log_mu_);
   // Unsynced kNoFlush commits pending.
   bool log_dirty_ LBC_GUARDED_BY(log_mu_) = false;
+  // Bumped whenever the log file is replaced or emptied, so a trim that
+  // scanned without log_mu_ can tell its scan went stale.
+  uint64_t log_generation_ LBC_GUARDED_BY(log_mu_) = 0;
 
   // --- commit pipeline (group commit) ------------------------------------
   // Commits enqueue here in commit_seq order; the first waiter that finds

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "src/base/sync.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
+#include "tests/read_hook_store.h"
 
 namespace {
 
@@ -22,7 +25,7 @@ constexpr rvm::LockId kLock = 10;
 
 struct StandbyFixture {
   explicit StandbyFixture(int n_writers) {
-    cluster = std::make_unique<lbc::Cluster>(&store);
+    cluster = std::make_unique<lbc::Cluster>(&hooked);
     cluster->DefineLock(kLock, kRegion, 1);
     for (int i = 0; i < n_writers; ++i) {
       writers.push_back(std::move(*lbc::Client::Create(cluster.get(), 1 + i, {})));
@@ -48,6 +51,8 @@ struct StandbyFixture {
   }
 
   store::MemStore store;
+  // Every client's I/O goes through here, so a test can stop a log scan.
+  lbc_test::ReadHookStore hooked{&store};
   std::unique_ptr<lbc::Cluster> cluster;
   std::vector<std::unique_ptr<lbc::Client>> writers;
   std::unique_ptr<lbc::Client> standby;
@@ -115,7 +120,18 @@ TEST(Standby, UncoveredRecordsSurviveTheTrim) {
   EXPECT_EQ(2, buf[1]);
 }
 
+// Polls `done` for up to `timeout`; a blocked thread is left running, for
+// the caller to unblock and join.
+bool SetWithin(const std::atomic<bool>& done, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done;
+}
+
 TEST(Standby, WritersKeepCommittingDuringCheckpoint) {
+  lbc_test::ReadLatch latch;  // outlives the fixture's store, which calls it
   StandbyFixture fx(2);
   lbc::Client* writer = fx.writers[0].get();
   for (int i = 0; i < 5; ++i) {
@@ -124,14 +140,57 @@ TEST(Standby, WritersKeepCommittingDuringCheckpoint) {
   for (int i = 0; i < 2000 && fx.standby->stats().updates_received < 5; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(lbc::CheckpointFromStandby(fx.cluster.get(), fx.standby.get(),
-                                         fx.WriterPtrs())
-                  .ok());
-  // No locks were taken by the checkpoint: an immediate commit succeeds
-  // with the NEXT sequence number (nothing was consumed or rolled back).
-  CommitByte(writer, 7, 77);
+
+  // Park the trim of writer 1's log inside its scan: the first Read of the
+  // log after this point is the trim's (the checkpoint reads no log before).
+  fx.hooked.SetReadHook(rvm::LogFileName(1), latch.Hook());
+  base::Status checkpoint_status;
+  std::thread checkpoint([&] {
+    checkpoint_status =
+        lbc::CheckpointFromStandby(fx.cluster.get(), fx.standby.get(), fx.WriterPtrs());
+  });
+  if (!latch.WaitParked(std::chrono::seconds(10))) {
+    latch.Release();
+    checkpoint.join();
+    FAIL() << "the trim never read writer 1's log";
+  }
+
+  // While the trim is parked, the same node commits (kFlush) and applies a
+  // peer's update. A trim that held the rvm lock for its scan would block
+  // both until the latch opens, so each gets a bounded wait.
+  std::atomic<bool> committed{false};
+  std::thread commit([&] {
+    CommitByte(writer, 7, 77);
+    committed = true;
+  });
+  const bool commit_returned = SetWithin(committed, std::chrono::seconds(10));
+  std::atomic<bool> applied{false};
+  base::Status apply_status;
+  std::thread apply([&] {
+    const uint8_t peer_byte = 99;
+    apply_status = writer->rvm()->ApplyExternalUpdate(kRegion, 100, {&peer_byte, 1});
+    applied = true;
+  });
+  const bool apply_returned = SetWithin(applied, std::chrono::seconds(10));
+  latch.Release();
+  commit.join();
+  apply.join();
+  checkpoint.join();
+  fx.hooked.SetReadHook("", nullptr);
+  EXPECT_TRUE(commit_returned) << "commit blocked behind the trim's scan";
+  EXPECT_TRUE(apply_returned) << "peer apply blocked behind the trim's scan";
+  ASSERT_TRUE(apply_status.ok()) << apply_status.ToString();
+  ASSERT_TRUE(checkpoint_status.ok()) << checkpoint_status.ToString();
+
+  // The checkpoint consumed no sequence number: the mid-trim commit took
+  // the next one, above the cut, so the trim kept its record and only it.
   EXPECT_EQ(6u, writer->AppliedSeq(kLock));
-  // And a crash now recovers checkpoint + post-checkpoint log.
+  auto kept = *rvm::ReadLogTransactions(&fx.store, rvm::LogFileName(1));
+  ASSERT_EQ(1u, kept.size());
+  ASSERT_EQ(1u, kept[0].locks.size());
+  EXPECT_EQ(6u, kept[0].locks[0].sequence);
+
+  // And a crash now recovers checkpoint + the mid-trim record.
   fx.store.Crash();
   lbc::Cluster cluster2(&fx.store);
   cluster2.DefineLock(kLock, kRegion, 1);

@@ -23,6 +23,9 @@
 //      a serve-first boot, then a second cut: the third boot still drains
 //      the page cleanly (nothing the cut left in the sidecar certifies the
 //      older target image).
+//   6. A checkpoint trim with a commit landing between its unlocked scan
+//      and its locked swap, cut before every store op of the trim and of
+//      that commit: recovery drains to the committed prefix.
 //
 // Budget/seed are env-tunable like crash_explorer_test: LBC_CRASH_BUDGET
 // (0 = exhaustive) and LBC_CRASH_SEED.
@@ -50,6 +53,7 @@
 #include "src/store/crash_point_store.h"
 #include "src/store/durable_store.h"
 #include "src/store/mem_store.h"
+#include "tests/read_hook_store.h"
 
 namespace {
 
@@ -504,6 +508,80 @@ TEST(RecoverySweep, RecoveryCrashThenNewCommitThenCrashDrainsClean) {
   }
   // Sidecar clear, data write, every sync and the entry rewrite were cut.
   EXPECT_GT(cut, 5u);
+}
+
+// The trim scans the log with no lock held, then copies the frames appended
+// meanwhile and swaps under the log lock. Land a commit exactly there (when
+// the scan reads the end of the file, so the trim must copy it as the
+// tail), and cut power before every store op of the trim and of that
+// commit, torn and untorn. Recovery must drain to exactly the acknowledged
+// commits: the checkpointed one from the database, the uncovered one and
+// (if it returned OK) the mid-trim one from whichever log survived.
+TEST(RecoverySweep, TrimWithCommitBetweenScanAndSwapRecoversCommittedPrefix) {
+  bool trim_completed = false;
+  uint64_t cut = 0;
+  for (; !trim_completed; ++cut) {
+    for (size_t torn : {size_t{0}, size_t{5}}) {
+      store::MemStore mem;
+      store::CrashPointStore cps(&mem);
+      cps.SetCrashHook([&mem] { mem.Crash(0); });
+      lbc_test::ReadHookStore store(&cps);
+      RegionBytes committed(kRegionSize, 0);
+      auto node = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+      ASSERT_TRUE(node->MapRegion(1, kRegionSize).ok());
+      auto commit = [&](uint64_t offset, uint8_t fill, uint64_t seq) {
+        rvm::TxnId txn = node->BeginTransaction(rvm::RestoreMode::kNoRestore);
+        RETURN_IF_ERROR(node->SetRange(txn, 1, offset, kSliceSize));
+        std::memset(node->GetRegion(1)->data() + offset, fill, kSliceSize);
+        RETURN_IF_ERROR(node->SetLockId(txn, kLockR1, seq));
+        RETURN_IF_ERROR(node->EndTransaction(txn, rvm::CommitMode::kFlush));
+        std::memset(committed.data() + offset, fill, kSliceSize);
+        return base::OkStatus();
+      };
+      // Seq 1 is checkpointed into the database (the trim drops it); seq 2
+      // lives only in the log (the trim keeps it).
+      ASSERT_TRUE(commit(0, 0x42, 1).ok());
+      ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&store, {rvm::LogFileName(1)}).ok());
+      ASSERT_TRUE(commit(kSliceSize, 0x55, 2).ok());
+
+      base::Status mid_trim = base::Internal("scan never reached the end");
+      bool fired = false;
+      store.SetReadHook(rvm::LogFileName(1), [&](uint64_t, size_t got) {
+        if (got == 0 && !fired) {
+          fired = true;
+          mid_trim = commit(2 * kSliceSize, 0x66, 3);
+        }
+      });
+      cps.ResetOpCount();
+      cps.ArmCrashAtOp(cut, torn);
+      trim_completed = node->TrimLogWithBaselines({{kLockR1, 1}}).ok();
+      store.SetReadHook("", nullptr);
+      cps.Disarm();
+      if (trim_completed) {
+        // The uncovered record and the mid-trim one, copied as the tail.
+        ASSERT_TRUE(mid_trim.ok()) << mid_trim.ToString();
+        auto kept = rvm::ReadLogTransactions(&cps, rvm::LogFileName(1));
+        ASSERT_TRUE(kept.ok());
+        ASSERT_EQ(2u, kept->size());
+        EXPECT_EQ(3u, (*kept)[1].locks[0].sequence);
+      }
+      node.reset();
+      mem.Crash(0);
+
+      auto index = rvm::LogIndex::Build(&cps, {rvm::LogFileName(1)});
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      rvm::IncrementalRecovery recovery(&cps, std::move(*index));
+      base::Status drained = recovery.MaterializeRegion(1);
+      ASSERT_TRUE(drained.ok()) << "cut before op " << cut << " (torn " << torn
+                                << "): " << drained.ToString();
+      EXPECT_EQ(committed, *ReadRegionFile(&cps, 1))
+          << "cut before op " << cut << " (torn " << torn << ")";
+      ASSERT_TRUE(VerifyRegionPages(&cps, 1).ok()) << "cut before op " << cut;
+    }
+  }
+  // Log sync, the mid-trim commit's write and sync, then the temp file's
+  // create, truncate, write and sync, the rename and the directory sync.
+  EXPECT_GT(cut, 9u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/rvm/rvm.h"
 #include "src/rvm/scrub.h"
 #include "src/store/mem_store.h"
+#include "tests/read_hook_store.h"
 
 namespace {
 
@@ -323,6 +324,97 @@ TEST(GroupCommit, CommittersRaceJanitorAndScrubber) {
       EXPECT_EQ(static_cast<uint64_t>(t) * 1000 + static_cast<uint64_t>(i), value);
     }
   }
+}
+
+TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
+  // A trim scans the log with no lock held. Park one in its scan after it
+  // has kept the first record, then reset the log, commit, and run a second
+  // trim on another thread. The parked scan is stale: it must start over,
+  // so nothing the reset removed comes back and nothing committed after the
+  // reset is lost.
+  store::MemStore mem;
+  lbc_test::ReadHookStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  rvm::Region* region = *r->MapRegion(kRegion, 4096);
+  auto commit = [&](uint64_t offset, uint8_t value) {
+    rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    base::Status st = r->SetRange(txn, kRegion, offset, 1);
+    if (!st.ok()) {
+      return st;
+    }
+    region->data()[offset] = value;
+    return r->EndTransaction(txn, rvm::CommitMode::kFlush);
+  };
+  for (uint8_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(commit(i, 0xA0 + i).ok());  // removed by the reset below
+  }
+
+  // Two reads pass (the first record's header and payload); the trim parks
+  // on the second record's header. Reads at offset 0 after the release can
+  // only come from a rescan: the parked reader is past the first frame.
+  lbc_test::ReadLatch latch(/*skip=*/2);
+  auto park = latch.Hook();
+  std::atomic<bool> released{false};
+  std::atomic<int> rescan_reads{0};
+  store.SetReadHook(rvm::LogFileName(1), [&](uint64_t offset, size_t got) {
+    if (released && offset == 0) {
+      ++rescan_reads;
+    }
+    park(offset, got);
+  });
+  base::Status first_trim;
+  std::thread first([&] { first_trim = r->TrimLogWithBaselines({}); });
+  if (!latch.WaitParked(std::chrono::seconds(10))) {
+    latch.Release();
+    first.join();
+    FAIL() << "the trim never read the log";
+  }
+
+  // Neither the reset nor the second trim may wait for the parked scan.
+  base::Status reset, post_reset, second_trim;
+  std::atomic<bool> raced{false};
+  std::thread racer([&] {
+    reset = r->ResetLog();
+    post_reset = commit(10, 0xB0);
+    second_trim = r->TrimLogWithBaselines({});
+    raced = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!raced && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool raced_in_time = raced;
+  released = true;
+  latch.Release();
+  racer.join();
+  first.join();
+  store.SetReadHook("", nullptr);
+  EXPECT_TRUE(raced_in_time) << "reset or second trim blocked behind the parked scan";
+  ASSERT_TRUE(reset.ok()) << reset.ToString();
+  ASSERT_TRUE(post_reset.ok()) << post_reset.ToString();
+  ASSERT_TRUE(second_trim.ok()) << second_trim.ToString();
+  ASSERT_TRUE(first_trim.ok()) << first_trim.ToString();
+  EXPECT_GT(rescan_reads.load(), 0) << "the parked trim swapped a stale scan";
+
+  // The log holds exactly the post-reset commits, the one landing after
+  // both trims included.
+  ASSERT_TRUE(commit(11, 0xC0).ok());
+  auto kept = *rvm::ReadLogTransactions(&mem, rvm::LogFileName(1));
+  ASSERT_EQ(2u, kept.size());
+  EXPECT_EQ(10u, kept[0].ranges[0].offset);
+  EXPECT_EQ(11u, kept[1].ranges[0].offset);
+
+  // Recovery agrees: the reset records stay gone (they were never applied
+  // to the database), the later two survive.
+  mem.Crash();
+  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&mem, {rvm::LogFileName(1)}).ok());
+  auto r2 = std::move(*rvm::Rvm::Open(&mem, 2, rvm::RvmOptions{}));
+  rvm::Region* region2 = *r2->MapRegion(kRegion, 4096);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(0, region2->data()[i]) << "reset record " << i << " came back";
+  }
+  EXPECT_EQ(0xB0, region2->data()[10]);
+  EXPECT_EQ(0xC0, region2->data()[11]);
 }
 
 }  // namespace
