@@ -38,8 +38,7 @@ base::Status LogWriter::Append(const std::vector<base::ByteSpan>& parts, bool sy
   return base::OkStatus();
 }
 
-base::Status LogWriter::AppendBatch(const std::vector<base::ByteSpan>& payloads,
-                                    bool sync_now) {
+base::Status LogWriter::AppendBatch(const std::vector<base::ByteSpan>& payloads) {
   if (payloads.empty()) {
     return base::OkStatus();
   }
@@ -62,9 +61,6 @@ base::Status LogWriter::AppendBatch(const std::vector<base::ByteSpan>& payloads,
   RETURN_IF_ERROR(file_->Write(offset_, base::ByteSpan(scratch_.data(), scratch_.size())));
   offset_ += scratch_.size();
   records_ += payloads.size();
-  if (sync_now) {
-    RETURN_IF_ERROR(file_->Sync());
-  }
   return base::OkStatus();
 }
 

@@ -37,14 +37,18 @@ class LogWriter {
   }
 
   // Group commit: appends one frame per payload, all frames in ONE
-  // contiguous Write, followed by at most ONE Sync. Each payload keeps its
+  // contiguous Write; durable only after Sync(). Each payload keeps its
   // own header + CRC, so a crash mid-batch tears the batch at a frame
   // boundary (or inside the last partially-written frame, which the CRC
   // catches): recovery sees a clean per-record prefix of the batch — the
   // batch is atomic at the log-frame level, not the transaction level.
-  base::Status AppendBatch(const std::vector<base::ByteSpan>& payloads, bool sync_now);
+  base::Status AppendBatch(const std::vector<base::ByteSpan>& payloads);
 
   base::Status Sync() { return file_->Sync(); }
+
+  // The underlying file, shared: a caller may Sync it without holding the
+  // writer's lock, and the handle outlives a swap that replaces the writer.
+  std::shared_ptr<store::DurableFile> file() const { return file_; }
 
   uint64_t bytes_written() const { return offset_; }
   uint64_t records_written() const { return records_; }
@@ -53,7 +57,7 @@ class LogWriter {
   base::Status Reset();
 
  private:
-  std::unique_ptr<store::DurableFile> file_;
+  std::shared_ptr<store::DurableFile> file_;
   uint64_t offset_ = 0;
   uint64_t records_ = 0;
   std::vector<uint8_t> scratch_;

@@ -42,7 +42,7 @@ struct CommitBatchMetrics {
   obs::Counter* batches;            // leader drains (one vectored append each)
   obs::Counter* txns;               // transactions committed through the pipeline
   obs::Counter* bytes;              // framed bytes written by batches
-  obs::Counter* fsyncs_saved;       // kFlush commits that shared the leader's sync
+  obs::Counter* fsyncs_saved;       // kFlush commits that shared another's sync
   obs::Histogram* size;             // transactions per batch
   obs::Histogram* cohort_wait_nanos;  // enqueue -> batch-completion wait
 };
@@ -390,23 +390,26 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       pc.enqueued_nanos = base::SteadyClock::Instance()->NowNanos();
       commit_queue_.push_back(&pc);
 
-      // Group commit: the first waiter that finds the leadership baton free
-      // drains the WHOLE queue as one batch — one vectored append, at most
-      // one sync — with mu_ released for the I/O, so the next cohort forms
-      // behind it while the disk is busy. Everyone else naps until a leader
-      // marks their entry done (possibly after several batches).
+      // Group commit in two stages, each with mu_ released for its I/O.
+      // Append: the first waiter that finds the baton free drains the WHOLE
+      // queue as one vectored append and hands the baton straight on, so
+      // the next cohort appends while this one syncs. Sync: once written,
+      // a kFlush entry whose end no sync covers yet, and that finds no
+      // sync in flight, leads one; it settles every entry it covered.
+      // Everyone else naps until a leader marks their entry done.
       while (!pc.done) {
-        if (!commit_leader_active_ && !commit_pipeline_held_) {
-          commit_leader_active_ = true;
-          std::vector<PendingCommit*> batch(commit_queue_.begin(),
-                                            commit_queue_.end());
-          commit_queue_.clear();
+        if (!pc.written && !commit_leader_active_ && !commit_pipeline_held_) {
+          std::vector<PendingCommit*> batch = TakeBatchLocked();
           lock.Unlock();
           BatchResult result = WriteBatch(batch);
           lock.Lock();
           FinishBatchLocked(batch, result, &crossed_soft);
-          commit_leader_active_ = false;
-          commit_cv_.NotifyAll();
+        } else if (pc.written && !sync_in_flight_) {
+          SyncTicket ticket = BeginSyncLocked();
+          lock.Unlock();
+          base::Status status = ticket.file->Sync();
+          lock.Lock();
+          FinishSyncLocked(ticket, status);
         } else {
           commit_cv_.Wait(lock);
         }
@@ -414,8 +417,8 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       stats_.disk_nanos += disk_timer.StopNanos();
       GlobalCommitBatchMetrics()->cohort_wait_nanos->Record(
           base::SteadyClock::Instance()->NowNanos() - pc.enqueued_nanos);
-      // The transaction stays active on a batch write failure: the caller
-      // may trim out of band and retry EndTransaction, or abort.
+      // The transaction stays active on a failed append or sync: the
+      // caller may trim out of band and retry EndTransaction, or abort.
       RETURN_IF_ERROR(pc.status);
     } else {
       stats_.collect_nanos += collect_timer.StopNanos();
@@ -444,40 +447,51 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   return base::OkStatus();
 }
 
+std::vector<Rvm::PendingCommit*> Rvm::TakeBatchLocked() {
+  commit_leader_active_ = true;
+  std::vector<PendingCommit*> batch(commit_queue_.begin(), commit_queue_.end());
+  commit_queue_.clear();
+  return batch;
+}
+
 Rvm::BatchResult Rvm::WriteBatch(const std::vector<PendingCommit*>& batch) {
   std::vector<base::ByteSpan> payloads;
   payloads.reserve(batch.size());
-  bool sync_now = false;
   for (const PendingCommit* pc : batch) {
     payloads.push_back(pc->payload.span());
-    sync_now |= pc->mode == CommitMode::kFlush;
   }
   BatchResult result;
   base::MutexLock log_lock(log_mu_);
+  result.generation = log_generation_;
   result.bytes_before = log_->bytes_written();
-  result.status = log_->AppendBatch(payloads, sync_now);
+  result.status = log_->AppendBatch(payloads);
   result.bytes_after = log_->bytes_written();
-  result.synced = sync_now && result.status.ok();
-  if (result.status.ok()) {
-    // A sync covers every frame written so far, including earlier kNoFlush
-    // batches; a sync-less batch leaves (or makes) the tail dirty.
-    log_dirty_ = !sync_now;
-  }
   return result;
 }
 
 void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
                             const BatchResult& result, bool* crossed_soft) {
-  size_t flushes = 0;
+  bool parked = false;
   for (PendingCommit* pc : batch) {
+    pc->written = true;
     pc->status = result.status;
-    pc->done = true;
-    if (pc->mode == CommitMode::kFlush) {
-      ++flushes;
+    pc->generation = result.generation;
+    pc->end = result.bytes_after;
+    if (result.status.ok() && pc->mode == CommitMode::kFlush) {
+      sync_waiters_.push_back(pc);
+      parked = true;
+    } else {
+      pc->done = true;
     }
   }
+  commit_leader_active_ = false;
+  commit_cv_.NotifyAll();
   if (!result.status.ok()) {
     return;
+  }
+  if (parked) {
+    // A sync that began after the write may already have finished.
+    SettleSyncWaitersLocked(nullptr, base::OkStatus());
   }
   auto* m = GlobalCommitBatchMetrics();
   ++stats_.commit_batches;
@@ -488,15 +502,85 @@ void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
   m->txns->Add(batch.size());
   m->bytes->Add(delta);
   m->size->Record(batch.size());
-  if (result.synced && flushes > 0) {
-    // Without the pipeline each kFlush commit would have synced alone.
-    stats_.fsyncs_saved += flushes - 1;
-    m->fsyncs_saved->Add(flushes - 1);
-  }
   const uint64_t soft = options_.log_soft_limit_bytes;
   if (soft > 0 && result.bytes_before < soft && result.bytes_after >= soft) {
     *crossed_soft = true;
   }
+}
+
+Rvm::SyncTicket Rvm::BeginSyncLocked() {
+  sync_in_flight_ = true;
+  base::MutexLock log_lock(log_mu_);
+  return SyncTicket{log_->file(), log_generation_, log_->bytes_written()};
+}
+
+void Rvm::FinishSyncLocked(const SyncTicket& ticket, const base::Status& status) {
+  {
+    base::MutexLock log_lock(log_mu_);
+    // A swap meanwhile reset the watermark for a new file; this sync says
+    // nothing about that one.
+    if (status.ok() && ticket.generation == log_generation_) {
+      synced_end_ = std::max(synced_end_, ticket.end);
+    }
+  }
+  SettleSyncWaitersLocked(&ticket, status);
+  sync_in_flight_ = false;
+  commit_cv_.NotifyAll();
+}
+
+void Rvm::SettleSyncWaitersLocked(const SyncTicket* sync, const base::Status& status) {
+  uint64_t generation;
+  uint64_t synced;
+  {
+    base::MutexLock log_lock(log_mu_);
+    generation = log_generation_;
+    synced = synced_end_;
+  }
+  uint64_t acked = 0;  // commits this sync made durable
+  auto keep = sync_waiters_.begin();
+  for (PendingCommit* pc : sync_waiters_) {
+    const bool covered =
+        sync != nullptr && pc->generation == sync->generation && pc->end <= sync->end;
+    if (covered && !status.ok()) {
+      // After a failed fsync the dirty pages may be gone: a later sync
+      // cannot vouch for these frames.
+      pc->status = status;
+    } else if (pc->generation == generation && pc->end > synced) {
+      *keep++ = pc;
+      continue;
+    } else if (covered && !pc->payload.empty()) {
+      ++acked;
+    }
+    pc->done = true;
+  }
+  sync_waiters_.erase(keep, sync_waiters_.end());
+  if (acked > 1) {
+    // Without the pipeline each kFlush commit would have synced alone.
+    stats_.fsyncs_saved += acked - 1;
+    GlobalCommitBatchMetrics()->fsyncs_saved->Add(acked - 1);
+  }
+}
+
+base::Status Rvm::SyncLogTo(uint64_t generation, uint64_t end) {
+  base::MutexLock lock(mu_);
+  PendingCommit request;
+  request.written = true;
+  request.generation = generation;
+  request.end = end;
+  sync_waiters_.push_back(&request);
+  SettleSyncWaitersLocked(nullptr, base::OkStatus());
+  while (!request.done) {
+    if (!sync_in_flight_) {
+      SyncTicket ticket = BeginSyncLocked();
+      lock.Unlock();
+      base::Status status = ticket.file->Sync();
+      lock.Lock();
+      FinishSyncLocked(ticket, status);
+    } else {
+      commit_cv_.Wait(lock);
+    }
+  }
+  return request.status;
 }
 
 uint64_t Rvm::CurrentLogBytes() const {
@@ -524,7 +608,8 @@ void Rvm::HoldCommitPipeline() {
 
 base::Status Rvm::ReleaseCommitPipeline() {
   bool crossed_soft = false;
-  base::Status status;
+  BatchResult result;
+  bool flush = false;
   {
     base::MutexLock lock(mu_);
     while (commit_leader_active_) {
@@ -535,16 +620,18 @@ base::Status Rvm::ReleaseCommitPipeline() {
       commit_cv_.NotifyAll();
       return base::OkStatus();
     }
-    commit_leader_active_ = true;
-    std::vector<PendingCommit*> batch(commit_queue_.begin(), commit_queue_.end());
-    commit_queue_.clear();
+    std::vector<PendingCommit*> batch = TakeBatchLocked();
+    for (const PendingCommit* pc : batch) {
+      flush |= pc->mode == CommitMode::kFlush;
+    }
     lock.Unlock();
-    BatchResult result = WriteBatch(batch);
+    result = WriteBatch(batch);
     lock.Lock();
     FinishBatchLocked(batch, result, &crossed_soft);
-    commit_leader_active_ = false;
-    commit_cv_.NotifyAll();
-    status = result.status;
+  }
+  base::Status status = result.status;
+  if (status.ok() && flush) {
+    status = SyncLogTo(result.generation, result.bytes_after);
   }
   if (crossed_soft) {
     FireSoftTrim();
@@ -584,13 +671,17 @@ base::Status Rvm::FlushLog() {
   if (!options_.disk_logging) {
     return base::OkStatus();
   }
-  // Only the log state is touched, so only log_mu_ is needed: a flush can
-  // run concurrently with committers gathering under mu_ (it serializes
-  // with the batch leader's write, like any other log operation).
-  base::MutexLock log_lock(log_mu_);
-  RETURN_IF_ERROR(log_->Sync());
-  log_dirty_ = false;
-  return base::OkStatus();
+  // The commits' own sync step: no lock is held across the sync, so
+  // appenders keep appending, and a sync already in flight is waited out
+  // (or, if it covers the log's end, shared).
+  uint64_t generation;
+  uint64_t end;
+  {
+    base::MutexLock log_lock(log_mu_);
+    generation = log_generation_;
+    end = log_->bytes_written();
+  }
+  return SyncLogTo(generation, end);
 }
 
 base::Status Rvm::ApplyExternalUpdate(RegionId region_id, uint64_t offset,
@@ -637,9 +728,13 @@ base::Status Rvm::ResetLog() {
   {
     base::MutexLock log_lock(log_mu_);
     RETURN_IF_ERROR(log_->Reset());
-    log_dirty_ = false;
+    synced_end_ = 0;
     ++log_generation_;
   }
+  // Per the contract, the caller's checkpoint covers any commit still
+  // waiting for its sync.
+  SettleSyncWaitersLocked(nullptr, base::OkStatus());
+  commit_cv_.NotifyAll();
   // The trim that just ran ends the current backpressure episode: the next
   // stall may fire the hook again.
   trim_hook_fired_ = false;
@@ -693,8 +788,8 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   // retry holds log_mu_ for the whole scan, so it cannot be raced again.
   const std::string log_name = LogFileName(node_);
   for (bool hold_for_scan : {false, true}) {
+    RETURN_IF_ERROR(FlushLog());
     base::MutexLock log_lock(log_mu_);
-    RETURN_IF_ERROR(log_->Sync());
     const uint64_t generation = log_generation_;
     ASSIGN_OR_RETURN(auto file, store_->Open(log_name, /*create=*/false));
     LogReader reader(file.get());
@@ -719,7 +814,7 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
       RETURN_IF_ERROR(temp->Truncate(0));
       LogWriter writer(std::move(temp));
       std::vector<base::ByteSpan> payloads(kept.begin(), kept.end());
-      RETURN_IF_ERROR(writer.AppendBatch(payloads, /*sync_now=*/false));
+      RETURN_IF_ERROR(writer.AppendBatch(payloads));
       RETURN_IF_ERROR(writer.Sync());
     }
     RETURN_IF_ERROR(store_->Rename(temp_name, log_name));
@@ -731,12 +826,17 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
     ASSIGN_OR_RETURN(auto reopened, store_->Open(log_name, /*create=*/false));
     ASSIGN_OR_RETURN(uint64_t new_size, reopened->Size());
     log_ = std::make_unique<LogWriter>(std::move(reopened), new_size);
-    log_dirty_ = false;
+    // The new file was synced before the rename: it is durable to its end.
+    // A commit still waiting for its sync is now durable either way: its
+    // record was copied into that file, or the checkpoint covers it.
+    synced_end_ = new_size;
     ++log_generation_;
     break;
   }
-  // The trim that just ran ends the current backpressure episode.
   base::MutexLock lock(mu_);
+  SettleSyncWaitersLocked(nullptr, base::OkStatus());
+  commit_cv_.NotifyAll();
+  // The trim that just ran ends the current backpressure episode.
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();
@@ -752,9 +852,12 @@ base::Status Rvm::TruncateLog() {
     RETURN_IF_ERROR(log_->Sync());
     RETURN_IF_ERROR(ReplayLogsIntoDatabase(store_, {LogFileName(node_)}));
     RETURN_IF_ERROR(log_->Reset());
-    log_dirty_ = false;
+    synced_end_ = 0;
     ++log_generation_;
   }
+  // Every frame was just replayed into the database files.
+  SettleSyncWaitersLocked(nullptr, base::OkStatus());
+  commit_cv_.NotifyAll();
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();

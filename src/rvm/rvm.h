@@ -156,10 +156,15 @@ class Rvm {
 
   // Commits. With disk logging on, the commit rides the group-commit
   // pipeline: under the instance lock the committer only gathers ranges,
-  // stamps the commit sequence, encodes the redo record, and enqueues it;
-  // the first waiter becomes the batch leader, drains the queue into ONE
-  // vectored log append plus (if any batch member asked to flush) ONE
-  // fsync, and wakes the cohort with their individual statuses. A batch is
+  // stamps the commit sequence, encodes the redo record, and enqueues it.
+  // The pipeline has two stages, each with one leader at a time, so one
+  // batch can append while the previous one syncs. Append: the first waiter
+  // that finds the baton free drains the queue into ONE vectored log
+  // append, stamps the batch with the log's generation and end offset, and
+  // hands the baton on at once (kNoFlush commits are done here). Sync: a
+  // kFlush commit is done once the durable watermark covers its end; when
+  // it is not covered and no sync is in flight, the commit leads one sync
+  // with no lock held, which settles every commit it covered. A batch is
   // atomic at the log-frame level only: each transaction keeps its own
   // framed, checksummed record, so a crash mid-batch recovers to a
   // per-transaction committed prefix of the batch. The commit hook runs on
@@ -169,8 +174,9 @@ class Rvm {
   // Aborts: restores undo copies (kRestore transactions only).
   [[nodiscard]] base::Status AbortTransaction(TxnId txn);
 
-  // Makes all kNoFlush commits durable.
-  [[nodiscard]] base::Status FlushLog();
+  // Makes all kNoFlush commits durable: returns once a sync that began
+  // after the call, or one that already covered the log's end, succeeded.
+  [[nodiscard]] base::Status FlushLog() LBC_EXCLUDES(mu_, log_mu_);
 
   // --- coherency integration ----------------------------------------------
 
@@ -209,7 +215,10 @@ class Rvm {
 
   // Empties the log WITHOUT applying it — for coordinated multi-node
   // trimming (lbc::OnlineTrim), where the caller has already merged and
-  // replayed every node's log while writers were quiesced.
+  // replayed every node's log while writers were quiesced. Contract: the
+  // caller's checkpoint covers every commit appended before the reset, so
+  // a kFlush commit still waiting for its sync counts as durable once the
+  // log is reset.
   [[nodiscard]] base::Status ResetLog();
 
   // Selective trim for standby-driven checkpointing (no quiesce): drops
@@ -228,14 +237,16 @@ class Rvm {
   // --- commit-pipeline test gate -------------------------------------------
 
   // Parks the pipeline: committers still gather/stamp/enqueue, but no one
-  // becomes leader, so EndTransaction callers block with their records
-  // queued. Lets tests (and quiesce-style maintenance) build a batch with a
+  // becomes append leader, so EndTransaction callers block with their
+  // records queued (commits already written still finish their sync).
+  // Lets tests (and quiesce-style maintenance) build a batch with a
   // deterministic membership and write it in one known store-op sequence.
   void HoldCommitPipeline();
 
-  // Waits for any in-flight leader, lifts the hold, and drains whatever is
-  // queued as ONE batch on the calling thread (one vectored append + at
-  // most one sync). Returns the batch's write status.
+  // Waits for any in-flight append leader, lifts the hold, and drains
+  // whatever is queued as ONE batch on the calling thread (one vectored
+  // append), then waits for the batch's sync if any member committed
+  // kFlush (at most one sync). Returns the batch's append or sync status.
   [[nodiscard]] base::Status ReleaseCommitPipeline();
 
   // Commits currently parked on the pipeline (test synchronization).
@@ -268,36 +279,69 @@ class Rvm {
 
   // One commit parked on the pipeline: the fully encoded log payload plus
   // completion state. Lives on the committing thread's stack; every field
-  // is written under mu_ (by the enqueuer, then by the batch leader).
+  // is written under mu_ (by the enqueuer, then by the append and sync
+  // leaders). FlushLog, the trim and ReleaseCommitPipeline park bare sync
+  // requests (no payload) the same way.
   struct PendingCommit {
     base::Buffer payload;  // encoded record, shared with ctx.record
     CommitMode mode = CommitMode::kFlush;
-    bool done = false;
+    bool written = false;  // append stage finished; the stamp below is set
+    bool done = false;     // durable (kFlush), written (kNoFlush) or failed
     base::Status status;
+    uint64_t generation = 0;  // log_generation_ the frames were appended in
+    uint64_t end = 0;         // log offset just past the batch's frames
     uint64_t enqueued_nanos = 0;
   };
 
-  // Outcome of one leader drain (WriteBatch).
+  // Outcome of one append leader's drain (WriteBatch).
   struct BatchResult {
     base::Status status;
+    uint64_t generation = 0;
     uint64_t bytes_before = 0;
     uint64_t bytes_after = 0;
-    bool synced = false;
+  };
+
+  // One sync leader's claim: the log file (shared, so a trim swap cannot
+  // free it mid-sync), its generation and the end the sync will cover.
+  struct SyncTicket {
+    std::shared_ptr<store::DurableFile> file;
+    uint64_t generation = 0;
+    uint64_t end = 0;
   };
 
   base::Status Init();
 
-  // Leader I/O: one vectored append of every payload in `batch`, one sync
-  // if any member committed kFlush. Takes log_mu_ internally; called with
-  // NO locks held (mu_ dropped), so committers keep enqueueing and trims
-  // keep trimming while the batch is on its way to the disk.
+  // Append stage. TakeBatchLocked claims the baton and drains the queue;
+  // WriteBatch is the leader's one vectored append (log_mu_ only, called
+  // with mu_ dropped so committers keep enqueueing and syncs keep running);
+  // FinishBatchLocked stamps and publishes the batch, parks its kFlush
+  // members for the sync stage and hands the baton on.
+  std::vector<PendingCommit*> TakeBatchLocked() LBC_REQUIRES(mu_);
   BatchResult WriteBatch(const std::vector<PendingCommit*>& batch)
       LBC_EXCLUDES(mu_, log_mu_);
-
-  // Publishes a finished batch: per-entry statuses, batch stats/metrics.
   void FinishBatchLocked(const std::vector<PendingCommit*>& batch,
                          const BatchResult& result, bool* crossed_soft)
       LBC_REQUIRES(mu_);
+
+  // Sync stage. At most one sync is in flight: BeginSyncLocked claims it
+  // and notes what it will cover; the leader then drops mu_ and syncs
+  // `ticket.file`; FinishSyncLocked advances the watermark (unless a swap
+  // moved the generation meanwhile) and settles the parked commits.
+  SyncTicket BeginSyncLocked() LBC_REQUIRES(mu_);
+  void FinishSyncLocked(const SyncTicket& ticket, const base::Status& status)
+      LBC_REQUIRES(mu_);
+
+  // Completes every parked commit the log now holds durably: stamped in an
+  // older generation (the swap made it durable) or covered by the
+  // watermark. A failed `sync` instead fails every commit it covered; no
+  // later sync may acknowledge those. `sync` is null when no sync finished.
+  void SettleSyncWaitersLocked(const SyncTicket* sync, const base::Status& status)
+      LBC_REQUIRES(mu_);
+
+  // The one unlocked sync step outside the commit path: waits until a sync
+  // covers (generation, end), leading it when none is in flight. Used by
+  // FlushLog (and through it the trim) and ReleaseCommitPipeline.
+  base::Status SyncLogTo(uint64_t generation, uint64_t end) LBC_EXCLUDES(mu_, log_mu_);
 
   // Framed bytes in the log right now (briefly takes log_mu_; callable with
   // mu_ held — rank kRvm < kRvmLog).
@@ -324,20 +368,26 @@ class Rvm {
   // and re-acquires mu_ only after releasing it).
   mutable base::Mutex log_mu_{"rvm.log", base::LockRank::kRvmLog};
   std::unique_ptr<LogWriter> log_ LBC_GUARDED_BY(log_mu_);
-  // Unsynced kNoFlush commits pending.
-  bool log_dirty_ LBC_GUARDED_BY(log_mu_) = false;
   // Bumped whenever the log file is replaced or emptied, so a trim that
-  // scanned without log_mu_ can tell its scan went stale.
+  // scanned without log_mu_ can tell its scan went stale, and a commit
+  // stamped in an older generation knows the swap made it durable.
   uint64_t log_generation_ LBC_GUARDED_BY(log_mu_) = 0;
+  // Durable watermark of the current generation's file: every frame below
+  // it survived a Sync that began after it was written. Swaps reset it to
+  // the new file's synced size.
+  uint64_t synced_end_ LBC_GUARDED_BY(log_mu_) = 0;
 
   // --- commit pipeline (group commit) ------------------------------------
   // Commits enqueue here in commit_seq order; the first waiter that finds
-  // no active leader becomes the leader and drains the whole queue.
+  // no active append leader becomes the leader and drains the whole queue.
   std::deque<PendingCommit*> commit_queue_ LBC_GUARDED_BY(mu_);
   bool commit_leader_active_ LBC_GUARDED_BY(mu_) = false;
   // Test gate: while held, nobody self-elects (see HoldCommitPipeline).
   bool commit_pipeline_held_ LBC_GUARDED_BY(mu_) = false;
-  // Signaled when a batch completes or the leadership baton is free.
+  // Written commits (and sync requests) waiting for a sync to cover them.
+  std::vector<PendingCommit*> sync_waiters_ LBC_GUARDED_BY(mu_);
+  bool sync_in_flight_ LBC_GUARDED_BY(mu_) = false;
+  // Signaled when a stage finishes: a batch is written or a sync settled.
   base::CondVar commit_cv_;
 
   // Signaled whenever a trim shrinks the log; commits stalled at the hard

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,7 @@
 #include "src/rvm/rvm.h"
 #include "src/rvm/types.h"
 #include "src/store/durable_store.h"
+#include "tests/read_hook_store.h"
 
 namespace {
 
@@ -330,6 +332,23 @@ std::vector<RegionBytes> BuildBatchShadow() {
   return shadow;
 }
 
+// The batch region's recovered bytes; a missing or short file reads as
+// zeros.
+base::Result<RegionBytes> ReadBatchRegion(store::DurableStore* s) {
+  RegionBytes got(kBatchRegionSize, 0);
+  ASSIGN_OR_RETURN(bool exists, s->Exists(rvm::RegionFileName(kBatchRegion)));
+  if (exists) {
+    ASSIGN_OR_RETURN(auto file, s->Open(rvm::RegionFileName(kBatchRegion),
+                                        /*create=*/false));
+    ASSIGN_OR_RETURN(uint64_t size, file->Size());
+    if (size > 0) {
+      RETURN_IF_ERROR(file->ReadExact(0, got.data(),
+                                      std::min<uint64_t>(size, kBatchRegionSize)));
+    }
+  }
+  return got;
+}
+
 class BatchHarness {
  public:
   BatchHarness(uint64_t budget, uint64_t seed, std::vector<size_t> torn_variants)
@@ -405,17 +424,7 @@ class BatchHarness {
   }
 
   base::Status Verify(store::DurableStore* s) {
-    RegionBytes got(kBatchRegionSize, 0);
-    ASSIGN_OR_RETURN(bool exists, s->Exists(rvm::RegionFileName(kBatchRegion)));
-    if (exists) {
-      ASSIGN_OR_RETURN(auto file, s->Open(rvm::RegionFileName(kBatchRegion),
-                                          /*create=*/false));
-      ASSIGN_OR_RETURN(uint64_t size, file->Size());
-      if (size > 0) {
-        RETURN_IF_ERROR(file->ReadExact(0, got.data(),
-                                        std::min<uint64_t>(size, kBatchRegionSize)));
-      }
-    }
+    ASSIGN_OR_RETURN(RegionBytes got, ReadBatchRegion(s));
     // Frame-level atomicity: the recovered region must equal the state after
     // some prefix of the batch — at least every transaction whose commit
     // returned OK, at most the whole batch. A torn write that cut frame k+1
@@ -473,6 +482,159 @@ TEST(CrashExplorer, PowerCutMidBatchRecoversPerTransactionPrefix) {
       EXPECT_TRUE(harness.prefixes_seen().count(k))
           << "no schedule recovered to the " << k << "-transaction prefix";
     }
+  }
+}
+
+// --- power cut while the next batch appends behind a sync (pipelining) -----
+//
+// Batch N is one kFlush transaction whose sync is parked in a store hook;
+// batch N+1, two transactions released as one batch, appends while that
+// sync is in flight. The store-op order is therefore N's write, N+1's
+// write, N's sync, N+1's sync, and the sweep cuts power before each (the
+// cut before N's sync is the one this schedule exists for: both batches
+// written, neither synced) and tears both writes at frame boundaries. The
+// acknowledged commits must form a prefix of the commit order, and the
+// recovered region must equal some per-transaction prefix between them and
+// everything.
+
+constexpr int kPipelineTxns = 3;  // batch N = {0}, batch N+1 = {1, 2}
+
+class PipelineHarness {
+ public:
+  explicit PipelineHarness(std::vector<size_t> torn_variants)
+      : shadow_(BuildBatchShadow()) {
+    options_.torn_variants = std::move(torn_variants);
+  }
+
+  rvm::CrashExplorer MakeExplorer() {
+    return rvm::CrashExplorer(
+        options_, [this](store::DurableStore* s) { return RunWorkload(s); },
+        [](store::DurableStore* s) {
+          return rvm::ReplayLogsIntoDatabase(s, {rvm::LogFileName(1)});
+        },
+        [this](store::DurableStore* s) { return Verify(s); });
+  }
+
+  const std::set<int>& prefixes_seen() const { return prefixes_seen_; }
+
+ private:
+  base::Status RunWorkload(store::DurableStore* s) {
+    acked_.assign(kPipelineTxns, false);
+    lbc_test::ReadHookStore store(s);
+    lbc_test::HookLatch sync_latch;  // parks batch N's sync, and only it
+    store.SetSyncHook(rvm::LogFileName(1), sync_latch.SyncHook());
+    ASSIGN_OR_RETURN(auto node, rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+    RETURN_IF_ERROR(node->MapRegion(kBatchRegion, kBatchRegionSize).status());
+
+    std::vector<base::Status> statuses(kPipelineTxns);
+    std::atomic<int> returned{0};
+    auto commit = [&node, &statuses, &returned](int i) {
+      rvm::TxnId txn = node->BeginTransaction(rvm::RestoreMode::kNoRestore);
+      base::Status st = node->SetRange(txn, kBatchRegion, i * kBatchSlice, kBatchSlice);
+      if (st.ok()) {
+        std::memset(node->GetRegion(kBatchRegion)->data() + i * kBatchSlice,
+                    kBatchValues[i], kBatchSlice);
+        st = node->SetLockId(txn, kBatchLock, static_cast<uint64_t>(i) + 1);
+      }
+      if (st.ok()) {
+        st = node->EndTransaction(txn, rvm::CommitMode::kFlush);
+      }
+      statuses[i] = st;
+      ++returned;
+    };
+
+    // Batch N: append, then park in the sync (unless the append failed).
+    std::vector<std::thread> committers;
+    committers.emplace_back(commit, 0);
+    while (!sync_latch.WaitParked(std::chrono::milliseconds(1)) && returned == 0) {
+    }
+    // Batch N+1: enqueue both on a held pipeline, then release them as one
+    // append on a helper thread (the release waits for their sync).
+    node->HoldCommitPipeline();
+    for (int i = 1; i < kPipelineTxns; ++i) {
+      committers.emplace_back(commit, i);
+      while (node->PendingCommitCount() < static_cast<size_t>(i)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    const uint64_t before = node->log_bytes();
+    std::atomic<bool> released{false};
+    base::Status release;
+    std::thread releaser([&] {
+      release = node->ReleaseCommitPipeline();
+      released = true;
+    });
+    while (node->log_bytes() == before && !released) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    sync_latch.Release();
+    releaser.join();
+    for (auto& t : committers) {
+      t.join();
+    }
+    store.SetSyncHook("", nullptr);
+
+    base::Status first_error = base::OkStatus();
+    for (int i = 0; i < kPipelineTxns; ++i) {
+      acked_[i] = statuses[i].ok();
+      if (!statuses[i].ok() && first_error.ok()) {
+        first_error = statuses[i];
+      }
+    }
+    return first_error;
+  }
+
+  base::Status Verify(store::DurableStore* s) {
+    // The acknowledged commits must be a prefix of the commit order.
+    int acked = 0;
+    while (acked < kPipelineTxns && acked_[acked]) {
+      ++acked;
+    }
+    for (int i = acked; i < kPipelineTxns; ++i) {
+      if (acked_[i]) {
+        return base::Internal("commit " + std::to_string(i) +
+                              " acknowledged after an earlier commit failed");
+      }
+    }
+    ASSIGN_OR_RETURN(RegionBytes got, ReadBatchRegion(s));
+    for (int k = acked; k <= kPipelineTxns; ++k) {
+      if (got == shadow_[k]) {
+        prefixes_seen_.insert(k);
+        return base::OkStatus();
+      }
+    }
+    return base::Internal("recovered region matches no commit prefix in [" +
+                          std::to_string(acked) + ", " +
+                          std::to_string(kPipelineTxns) + "]");
+  }
+
+  rvm::CrashExplorerOptions options_;
+  std::vector<RegionBytes> shadow_;
+  std::set<int> prefixes_seen_;
+  std::vector<bool> acked_;  // per commit: returned OK this run
+};
+
+TEST(CrashExplorer, PowerCutWhileNextBatchAppendsBehindSyncRecoversCommittedPrefix) {
+  const uint64_t frame = MeasureBatchFrameBytes();
+  ASSERT_GT(frame, kBatchSlice);
+  std::vector<size_t> torn = {1, static_cast<size_t>(frame - 1), static_cast<size_t>(frame),
+                              static_cast<size_t>(frame + 1), SIZE_MAX};
+  PipelineHarness harness(torn);
+  rvm::CrashExplorer explorer = harness.MakeExplorer();
+
+  rvm::CrashExplorerReport report;
+  base::Status status = explorer.ExploreWorkloadCrashes(&report);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::printf("pipeline sweep: %llu mutating ops, %llu schedules (%llu torn)\n",
+              static_cast<unsigned long long>(report.workload_ops),
+              static_cast<unsigned long long>(report.schedules_run),
+              static_cast<unsigned long long>(report.torn_schedules_run));
+  EXPECT_GT(report.torn_schedules_run, 0u);
+  // Nothing synced (cut before batch N's sync), batch N alone (N+1's write
+  // torn inside its first frame), one frame of N+1, and everything.
+  for (int k = 0; k <= kPipelineTxns; ++k) {
+    EXPECT_TRUE(harness.prefixes_seen().count(k))
+        << "no schedule recovered to the " << k << "-transaction prefix";
   }
 }
 

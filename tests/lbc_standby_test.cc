@@ -131,7 +131,7 @@ bool SetWithin(const std::atomic<bool>& done, std::chrono::milliseconds timeout)
 }
 
 TEST(Standby, WritersKeepCommittingDuringCheckpoint) {
-  lbc_test::ReadLatch latch;  // outlives the fixture's store, which calls it
+  lbc_test::HookLatch latch;  // outlives the fixture's store, which calls it
   StandbyFixture fx(2);
   lbc::Client* writer = fx.writers[0].get();
   for (int i = 0; i < 5; ++i) {
@@ -143,7 +143,7 @@ TEST(Standby, WritersKeepCommittingDuringCheckpoint) {
 
   // Park the trim of writer 1's log inside its scan: the first Read of the
   // log after this point is the trim's (the checkpoint reads no log before).
-  fx.hooked.SetReadHook(rvm::LogFileName(1), latch.Hook());
+  fx.hooked.SetReadHook(rvm::LogFileName(1), latch.ReadHook());
   base::Status checkpoint_status;
   std::thread checkpoint([&] {
     checkpoint_status =

@@ -1,8 +1,9 @@
 // Test-only DurableStore decorator that runs a callback after every Read of
-// one named file, on the reading thread. Tests use it to stop a log scan at
-// a known point: park it on a latch while other threads commit
-// (ReadLatch), or land a commit synchronously when the scan hits the end of
-// the file.
+// one named file, and another before every Sync of one named file, on the
+// calling thread. Tests use it to stop a log scan or a log sync at a known
+// point: park it on a latch while other threads commit (HookLatch), land a
+// commit synchronously when the scan hits the end of the file, or fail the
+// sync.
 #ifndef TESTS_READ_HOOK_STORE_H_
 #define TESTS_READ_HOOK_STORE_H_
 
@@ -23,6 +24,9 @@ class ReadHookStore : public store::DurableStore {
   // Receives the Read's offset and the byte count it returned (0 at end of
   // file).
   using Hook = std::function<void(uint64_t offset, size_t got)>;
+  // Runs before the Sync reaches the base store; a non-OK result fails the
+  // Sync with that status and the base store never sees it.
+  using SyncHook = std::function<base::Status()>;
 
   // Does not own `base`; it must outlive this store and its handles.
   explicit ReadHookStore(store::DurableStore* base) : base_(base) {}
@@ -33,6 +37,14 @@ class ReadHookStore : public store::DurableStore {
     base::MutexLock lock(mu_);
     name_ = name;
     hook_ = std::move(hook);
+  }
+
+  // Hooks Syncs of `name` through handles opened under that name. An empty
+  // hook disarms.
+  void SetSyncHook(const std::string& name, SyncHook hook) {
+    base::MutexLock lock(mu_);
+    sync_name_ = name;
+    sync_hook_ = std::move(hook);
   }
 
   base::Result<std::unique_ptr<store::DurableFile>> Open(const std::string& name,
@@ -69,7 +81,10 @@ class ReadHookStore : public store::DurableStore {
     base::Result<uint64_t> Append(base::ByteSpan data) override {
       return base_->Append(data);
     }
-    base::Status Sync() override { return base_->Sync(); }
+    base::Status Sync() override {
+      RETURN_IF_ERROR(owner_->BeforeSync(name_));
+      return base_->Sync();
+    }
     base::Result<uint64_t> Size() const override { return base_->Size(); }
     base::Status Truncate(uint64_t size) override { return base_->Truncate(size); }
 
@@ -92,20 +107,40 @@ class ReadHookStore : public store::DurableStore {
     hook(offset, got);
   }
 
+  base::Status BeforeSync(const std::string& name) {
+    SyncHook hook;
+    {
+      base::MutexLock lock(mu_);
+      if (!sync_hook_ || name != sync_name_) {
+        return base::OkStatus();
+      }
+      hook = sync_hook_;
+    }
+    return hook();
+  }
+
   store::DurableStore* base_;
   base::Mutex mu_{"test.read_hook"};
   std::string name_ LBC_GUARDED_BY(mu_);
   Hook hook_ LBC_GUARDED_BY(mu_);
+  std::string sync_name_ LBC_GUARDED_BY(mu_);
+  SyncHook sync_hook_ LBC_GUARDED_BY(mu_);
 };
 
-// One-shot latch for hooked Reads: the reader of the (skip + 1)-th Read
-// parks until Release(); every other Read passes straight through.
-class ReadLatch {
+// One-shot latch for hooked Reads or Syncs: the caller of the (skip + 1)-th
+// hooked op parks until Release(); every other op passes straight through.
+class HookLatch {
  public:
-  explicit ReadLatch(int skip = 0) : skip_(skip) {}
+  explicit HookLatch(int skip = 0) : skip_(skip) {}
 
-  ReadHookStore::Hook Hook() {
+  ReadHookStore::Hook ReadHook() {
     return [this](uint64_t, size_t) { Park(); };
+  }
+  ReadHookStore::SyncHook SyncHook() {
+    return [this] {
+      Park();
+      return base::OkStatus();
+    };
   }
 
   // True once a reader is parked; false if none arrived within `timeout`.
@@ -140,7 +175,7 @@ class ReadLatch {
   }
 
   const int skip_;
-  base::Mutex mu_{"test.read_latch"};
+  base::Mutex mu_{"test.hook_latch"};
   base::CondVar cv_;
   int reads_ LBC_GUARDED_BY(mu_) = 0;
   bool parked_ LBC_GUARDED_BY(mu_) = false;

@@ -579,9 +579,11 @@ TEST(RecoverySweep, TrimWithCommitBetweenScanAndSwapRecoversCommittedPrefix) {
       ASSERT_TRUE(VerifyRegionPages(&cps, 1).ok()) << "cut before op " << cut;
     }
   }
-  // Log sync, the mid-trim commit's write and sync, then the temp file's
-  // create, truncate, write and sync, the rename and the directory sync.
-  EXPECT_GT(cut, 9u);
+  // The mid-trim commit's write and sync, then the temp file's create,
+  // truncate, write and sync, the rename and the directory sync. The trim
+  // issues no log sync of its own: the kFlush commits already synced the
+  // log to its end.
+  EXPECT_GT(cut, 8u);
 }
 
 }  // namespace

@@ -326,6 +326,218 @@ TEST(GroupCommit, CommittersRaceJanitorAndScrubber) {
   }
 }
 
+// Polls `done` for up to 10 s; false if it never held.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Runs one kFlush transaction writing `value` at `offset`; reports its
+// status through `out`.
+void CommitByte(rvm::Rvm* r, uint64_t offset, uint8_t value, base::Status* out) {
+  rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  base::Status st = r->SetRange(txn, kRegion, offset, 1);
+  if (st.ok()) {
+    r->GetRegion(kRegion)->data()[offset] = value;
+    st = r->EndTransaction(txn, rvm::CommitMode::kFlush);
+  }
+  *out = st;
+}
+
+TEST(GroupCommit, NextBatchAppendsWhileSyncIsInFlightButWaitsForItsOwnSync) {
+  // A's sync parks. B must still append (the append baton does not wait
+  // for the sync), but B may return only after a sync that began after
+  // its append: A's sync, begun before, cannot vouch for B's frames.
+  store::MemStore mem;
+  lbc_test::ReadHookStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 4096).ok());
+  lbc_test::HookLatch latch;
+  auto park = latch.SyncHook();
+  std::atomic<int> syncs_started{0};
+  store.SetSyncHook(rvm::LogFileName(1), [&] {
+    ++syncs_started;
+    return park();
+  });
+
+  base::Status a_status, b_status;
+  std::thread a([&] { CommitByte(r.get(), 0, 0xA1, &a_status); });
+  if (!latch.WaitParked(std::chrono::seconds(10))) {
+    latch.Release();
+    a.join();
+    FAIL() << "A never synced";
+  }
+  const uint64_t a_end = r->log_bytes();
+  std::atomic<bool> b_returned{false};
+  std::atomic<int> syncs_when_b_returned{0};
+  std::thread b([&] {
+    CommitByte(r.get(), 1, 0xB2, &b_status);
+    syncs_when_b_returned = syncs_started.load();
+    b_returned = true;
+  });
+  const bool b_appended = WaitFor([&] { return r->log_bytes() > a_end; });
+  const int syncs_when_b_appended = syncs_started.load();
+  // Give B every chance to return early; only A's parked sync is running.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const bool b_returned_early = b_returned;
+  latch.Release();
+  a.join();
+  b.join();
+  store.SetSyncHook("", nullptr);
+
+  EXPECT_TRUE(b_appended) << "B's append waited for A's sync";
+  EXPECT_EQ(1, syncs_when_b_appended);
+  EXPECT_FALSE(b_returned_early) << "B returned on a sync that began before its append";
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_GT(syncs_when_b_returned.load(), syncs_when_b_appended);
+  EXPECT_EQ(2u, r->stats().commit_batches);
+}
+
+TEST(GroupCommit, FailedSyncFailsEveryCommitItCoveredAndNoLaterSyncAcksThem) {
+  // A1 and A2 append as one batch and share a sync that parks, then fails.
+  // B appends meanwhile, so the failed sync does not cover it; B's own
+  // sync succeeds, and it covers the file A1 and A2 were written to. Still
+  // both must fail, and stay active so the caller can retry.
+  store::MemStore mem;
+  lbc_test::ReadHookStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  rvm::Region* region = *r->MapRegion(kRegion, 4096);
+  std::atomic<int> hook_runs{0};
+  r->SetCommitHook([&](const rvm::CommitContext&) { ++hook_runs; });
+  lbc_test::HookLatch latch;
+  auto park = latch.SyncHook();
+  std::atomic<int> syncs{0};
+  store.SetSyncHook(rvm::LogFileName(1), [&]() -> base::Status {
+    const bool first = syncs++ == 0;
+    RETURN_IF_ERROR(park());
+    return first ? base::IoError("injected sync failure") : base::OkStatus();
+  });
+
+  r->HoldCommitPipeline();
+  rvm::TxnId a_txns[2];
+  base::Status a_status[2];
+  std::vector<std::thread> a;
+  for (int i = 0; i < 2; ++i) {
+    a_txns[i] = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    ASSERT_TRUE(r->SetRange(a_txns[i], kRegion, static_cast<uint64_t>(i), 1).ok());
+    region->data()[i] = static_cast<uint8_t>(0xA1 + i);
+    a.emplace_back([&, i] { a_status[i] = r->EndTransaction(a_txns[i], rvm::CommitMode::kFlush); });
+    ASSERT_TRUE(WaitFor([&] { return r->PendingCommitCount() == static_cast<size_t>(i) + 1; }));
+  }
+  base::Status release;
+  std::thread releaser([&] { release = r->ReleaseCommitPipeline(); });
+  ASSERT_TRUE(latch.WaitParked(std::chrono::seconds(10)));
+  const uint64_t a_end = r->log_bytes();
+  base::Status b_status;
+  std::thread b([&] { CommitByte(r.get(), 8, 0xB0, &b_status); });
+  const bool b_appended = WaitFor([&] { return r->log_bytes() > a_end; });
+  latch.Release();
+  releaser.join();
+  for (auto& t : a) {
+    t.join();
+  }
+  b.join();
+  store.SetSyncHook("", nullptr);
+
+  EXPECT_TRUE(b_appended);
+  EXPECT_EQ(2, syncs.load()) << "the failed sync and B's";
+  EXPECT_EQ(base::StatusCode::kIoError, release.code()) << release.ToString();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(base::StatusCode::kIoError, a_status[i].code())
+        << "A" << i << ": " << a_status[i].ToString();
+  }
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_EQ(1, hook_runs.load()) << "a failed commit ran its commit hook";
+  EXPECT_EQ(1u, r->stats().transactions_committed);
+
+  // Both stay active: a retry appends again and is acknowledged.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(r->EndTransaction(a_txns[i], rvm::CommitMode::kFlush).ok()) << "A" << i;
+  }
+  EXPECT_EQ(3u, r->stats().transactions_committed);
+}
+
+TEST(GroupCommit, TrimSwapBetweenAppendAndSyncMakesTheCommitDurable) {
+  // A trim parks mid-scan. A appends and its sync parks; B appends behind
+  // it and waits. The trim then drops the checkpointed record, copies A's
+  // and B's into the new file, syncs it and swaps: B is durable without
+  // any sync of the old file covering it, so it returns while A's sync is
+  // still parked — and the old file's handle must survive the swap under
+  // that in-flight sync. The new file is shorter than B's old end offset,
+  // so only the generation, not the watermark, can vouch for B.
+  store::MemStore mem;
+  lbc_test::ReadHookStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  rvm::Region* region = *r->MapRegion(kRegion, 4096);
+  constexpr rvm::LockId kLock = 9;
+  rvm::TxnId checkpointed = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  ASSERT_TRUE(r->SetRange(checkpointed, kRegion, 2, 1).ok());
+  region->data()[2] = 0xC0;
+  ASSERT_TRUE(r->SetLockId(checkpointed, kLock, 1).ok());
+  ASSERT_TRUE(r->EndTransaction(checkpointed, rvm::CommitMode::kFlush).ok());
+  lbc_test::HookLatch scan_latch;
+  store.SetReadHook(rvm::LogFileName(1), scan_latch.ReadHook());
+  lbc_test::HookLatch sync_latch;
+  store.SetSyncHook(rvm::LogFileName(1), sync_latch.SyncHook());
+
+  base::Status trim_status;
+  std::thread trim([&] { trim_status = r->TrimLogWithBaselines({{kLock, 1}}); });
+  if (!scan_latch.WaitParked(std::chrono::seconds(10))) {
+    scan_latch.Release();
+    trim.join();
+    FAIL() << "the trim never read the log";
+  }
+  base::Status a_status, b_status;
+  std::thread a([&] { CommitByte(r.get(), 0, 0xA1, &a_status); });
+  if (!sync_latch.WaitParked(std::chrono::seconds(10))) {
+    sync_latch.Release();
+    scan_latch.Release();
+    a.join();
+    trim.join();
+    FAIL() << "A never synced";
+  }
+  const uint64_t a_end = r->log_bytes();
+  std::atomic<bool> b_returned{false};
+  std::thread b([&] {
+    CommitByte(r.get(), 1, 0xB2, &b_status);
+    b_returned = true;
+  });
+  const bool b_appended = WaitFor([&] { return r->log_bytes() > a_end; });
+  const uint64_t b_end = r->log_bytes();
+  scan_latch.Release();
+  trim.join();
+  // Checked before the joins: a B that waits for a sync of the new file
+  // would never return.
+  EXPECT_TRUE(WaitFor([&] { return b_returned.load(); }))
+      << "B waited for a sync after the swap";
+  sync_latch.Release();
+  a.join();
+  b.join();
+  store.SetReadHook("", nullptr);
+  store.SetSyncHook("", nullptr);
+
+  EXPECT_TRUE(b_appended);
+  ASSERT_TRUE(trim_status.ok()) << trim_status.ToString();
+  EXPECT_LT(r->log_bytes(), b_end) << "the trim dropped no record";
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+
+  mem.Crash();
+  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&mem, {rvm::LogFileName(1)}).ok());
+  auto r2 = std::move(*rvm::Rvm::Open(&mem, 2, rvm::RvmOptions{}));
+  rvm::Region* region2 = *r2->MapRegion(kRegion, 4096);
+  EXPECT_EQ(0xA1, region2->data()[0]);
+  EXPECT_EQ(0xB2, region2->data()[1]);
+}
+
 TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
   // A trim scans the log with no lock held. Park one in its scan after it
   // has kept the first record, then reset the log, commit, and run a second
@@ -352,8 +564,8 @@ TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
   // Two reads pass (the first record's header and payload); the trim parks
   // on the second record's header. Reads at offset 0 after the release can
   // only come from a rescan: the parked reader is past the first frame.
-  lbc_test::ReadLatch latch(/*skip=*/2);
-  auto park = latch.Hook();
+  lbc_test::HookLatch latch(/*skip=*/2);
+  auto park = latch.ReadHook();
   std::atomic<bool> released{false};
   std::atomic<int> rescan_reads{0};
   store.SetReadHook(rvm::LogFileName(1), [&](uint64_t offset, size_t got) {
