@@ -42,6 +42,8 @@
 #     -Wthread-safety to errors (skipped with a note if clang++ is absent),
 #   * clang-tidy over src/ using the repo .clang-tidy and the exported
 #     compile_commands.json (skipped with a note if clang-tidy is absent).
+# It also prints the size of src/: the line count of the git-tracked
+# src/*.cc and src/*.h files, the one definition CHANGES.md reports.
 #
 # --corruption-sweep runs the silent-corruption gate on its own: the
 # deterministic bit-rot sweep (every page x replica x fault kind, both the
@@ -99,6 +101,7 @@ fi
 
 if [[ "$run_static" == 1 ]]; then
   echo "=== static: lint + thread-safety analysis ==="
+  echo "--- src/ size: $(git ls-files 'src/*.cc' 'src/*.h' | xargs cat | wc -l) lines (tracked .cc + .h)"
   python3 scripts/lint.py
 
   if command -v clang++ >/dev/null 2>&1; then

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "src/base/logging.h"
 #include "src/base/rng.h"
 #include "src/obs/metrics.h"
 
@@ -110,9 +111,14 @@ base::Result<std::map<std::string, std::vector<uint8_t>>> CrashExplorer::Snapsho
   return snapshot;
 }
 
+void CrashExplorer::Machine::PowerCut() {
+  mem.Crash(0);
+  LBC_CHECK_OK(quota.RescanUsage());  // a MemStore scan cannot fail
+}
+
 void CrashExplorer::ConfigureMachine(Machine* machine) {
   if (options_.configure_machine) {
-    options_.configure_machine(&machine->mem);
+    options_.configure_machine(&machine->quota);
   }
 }
 
@@ -169,7 +175,7 @@ base::Status CrashExplorer::ExploreRecoveryCrashes(CrashExplorerReport* report) 
   Machine ref;
   ConfigureMachine(&ref);
   RETURN_IF_ERROR(workload_(&ref.cps));
-  ref.mem.Crash(0);
+  ref.PowerCut();
   ref.cps.ResetOpCount();
   RETURN_IF_ERROR(recover_(&ref.cps));
   report->recovery_ops = ref.cps.op_count();
@@ -181,7 +187,7 @@ base::Status CrashExplorer::ExploreRecoveryCrashes(CrashExplorerReport* report) 
     Machine machine;
     ConfigureMachine(&machine);
     RETURN_IF_ERROR(workload_(&machine.cps));
-    machine.mem.Crash(0);
+    machine.PowerCut();
     machine.cps.ResetOpCount();
     machine.cps.ArmCrashAtOp(s.op_index, s.torn_bytes);
     base::Status st = recover_(&machine.cps);

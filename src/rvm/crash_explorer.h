@@ -30,6 +30,7 @@
 #include "src/base/status.h"
 #include "src/store/crash_point_store.h"
 #include "src/store/mem_store.h"
+#include "src/store/resource_store.h"
 
 namespace rvm {
 
@@ -43,10 +44,10 @@ struct CrashExplorerOptions {
   // (clamped to the write length; SIZE_MAX = the whole write).
   std::vector<size_t> torn_variants = {1, SIZE_MAX};
   // Invoked on every fresh simulated machine before the workload runs —
-  // e.g. MemStore::SetQuotaBytes, so the sweep can crash a workload that is
-  // fighting ENOSPC (the quota sits *under* the crash point: a power cut
-  // interrupts the short append the quota already tore).
-  std::function<void(store::MemStore*)> configure_machine;
+  // e.g. ResourceStore::SetQuotaBytes, so the sweep can crash a workload
+  // that is fighting ENOSPC (the quota sits *under* the crash point: a power
+  // cut interrupts the short append the quota already tore).
+  std::function<void(store::ResourceStore*)> configure_machine;
   // Invoked in ExploreRecoveryCrashes between the reboot and the second
   // recovery pass — i.e. at the exact moment an incrementally recovering
   // server would already be serving. Incremental-recovery sweeps use it to
@@ -93,13 +94,19 @@ class CrashExplorer {
     size_t torn_bytes;  // 0 = clean power cut
   };
 
-  // One fresh simulated machine: a MemStore wrapped in a CrashPointStore
-  // whose crash hook drops the MemStore's unsynced state.
+  // One fresh simulated machine: CrashPointStore -> ResourceStore ->
+  // MemStore, so the quota sits under the crash point. Every power cut —
+  // the crash hook and the explicit cuts of ExploreRecoveryCrashes — goes
+  // through PowerCut.
   struct Machine {
-    explicit Machine() : cps(&mem) {
-      cps.SetCrashHook([this] { mem.Crash(0); });
+    Machine() : quota(&mem), cps(&quota) {
+      cps.SetCrashHook([this] { PowerCut(); });
     }
+    // Drops the MemStore's unsynced state, then rebuilds the quota ledger
+    // from the sizes that survived.
+    void PowerCut();
     store::MemStore mem;
+    store::ResourceStore quota;
     store::CrashPointStore cps;
   };
 

@@ -92,19 +92,6 @@ class DurableStore {
 // Creates a store over a filesystem directory (created if absent).
 base::Result<std::unique_ptr<DurableStore>> OpenFileStore(const std::string& directory);
 
-struct FileStoreOptions {
-  // Caps the directory at this many total file bytes (0 = unlimited).
-  // Enforcement matches MemStore::SetQuotaBytes: Write/Truncate past the cap
-  // fail whole with RESOURCE_EXHAUSTED, an Append that only partly fits
-  // performs a deterministic short write of the fitting prefix first —
-  // modeling ENOSPC without actually filling a filesystem. Usage is scanned
-  // at open and maintained incrementally across handles.
-  uint64_t quota_bytes = 0;
-};
-
-base::Result<std::unique_ptr<DurableStore>> OpenFileStore(
-    const std::string& directory, const FileStoreOptions& options);
-
 }  // namespace store
 
 #endif  // SRC_STORE_DURABLE_STORE_H_

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 
-#include "src/base/sync.h"
 #include "src/store/durable_store.h"
 #include "src/store/store_metrics.h"
 
@@ -20,50 +19,9 @@ base::Status ErrnoStatus(const std::string& op) {
   return base::IoError(op + ": " + std::strerror(errno));
 }
 
-// Shared byte-quota ledger for one FileStore directory (see
-// FileStoreOptions::quota_bytes). The mutex is never held across an actual
-// I/O call: handles reserve growth, perform the syscall, and refund on
-// failure — so enforcement is deterministic without serializing I/O.
-struct QuotaLedger {
-  mutable base::Mutex mu{"store.filequota", base::LockRank::kStoreFileQuota};
-  uint64_t quota LBC_GUARDED_BY(mu) = 0;  // 0 = unlimited
-  uint64_t used LBC_GUARDED_BY(mu) = 0;
-  uint64_t enospc LBC_GUARDED_BY(mu) = 0;
-
-  // Grants up to `want` growth bytes; partial grants model the ENOSPC short
-  // append. Returns the granted byte count and sets *fits.
-  uint64_t Reserve(uint64_t want, bool allow_partial, bool* fits) {
-    base::MutexLock lock(mu);
-    if (quota == 0 || used + want <= quota) {
-      used += want;
-      *fits = true;
-      return want;
-    }
-    *fits = false;
-    ++enospc;
-    GlobalStoreMetrics()->resource_enospc->Increment();
-    if (!allow_partial) {
-      return 0;
-    }
-    uint64_t granted = quota > used ? quota - used : 0;
-    used += granted;
-    return granted;
-  }
-
-  void Adjust(int64_t delta) {
-    base::MutexLock lock(mu);
-    if (delta < 0 && used < static_cast<uint64_t>(-delta)) {
-      used = 0;
-      return;
-    }
-    used += delta;
-  }
-};
-
 class PosixFile : public DurableFile {
  public:
-  PosixFile(int fd, std::shared_ptr<QuotaLedger> quota)
-      : fd_(fd), quota_(std::move(quota)) {}
+  explicit PosixFile(int fd) : fd_(fd) {}
   ~PosixFile() override {
     if (fd_ >= 0) {
       ::close(fd_);
@@ -96,61 +54,6 @@ class PosixFile : public DurableFile {
   }
 
   base::Status Write(uint64_t offset, base::ByteSpan data) override {
-    uint64_t growth = 0;
-    if (quota_) {
-      ASSIGN_OR_RETURN(uint64_t size, Size());
-      uint64_t end = offset + data.size();
-      growth = end > size ? end - size : 0;
-      if (growth > 0) {
-        bool fits = false;
-        quota_->Reserve(growth, /*allow_partial=*/false, &fits);
-        if (!fits) {
-          return base::ResourceExhausted("ENOSPC: write past file-store quota");
-        }
-      }
-    }
-    base::Status st = WriteImpl(offset, data);
-    if (!st.ok() && growth > 0) {
-      quota_->Adjust(-static_cast<int64_t>(growth));
-    }
-    return st;
-  }
-
-  base::Result<uint64_t> Append(base::ByteSpan data) override {
-    ASSIGN_OR_RETURN(uint64_t size, Size());
-    if (quota_) {
-      bool fits = false;
-      uint64_t granted =
-          quota_->Reserve(data.size(), /*allow_partial=*/true, &fits);
-      if (!fits) {
-        // Deterministic ENOSPC short write: persist the fitting prefix (the
-        // torn tail recovery must CRC-detect), then fail.
-        if (granted > 0) {
-          base::Status st = WriteImpl(
-              size, base::ByteSpan(data.data(), static_cast<size_t>(granted)));
-          if (!st.ok()) {
-            quota_->Adjust(-static_cast<int64_t>(granted));
-            return st;
-          }
-          GlobalStoreMetrics()->resource_short_appends->Increment();
-        }
-        return base::ResourceExhausted(
-            "ENOSPC: short append " + std::to_string(granted) + "/" +
-            std::to_string(data.size()) + " bytes");
-      }
-      base::Status st = WriteImpl(size, data);
-      if (!st.ok()) {
-        quota_->Adjust(-static_cast<int64_t>(data.size()));
-        return st;
-      }
-      return size;
-    }
-    RETURN_IF_ERROR(WriteImpl(size, data));
-    return size;
-  }
-
- private:
-  base::Status WriteImpl(uint64_t offset, base::ByteSpan data) {
     size_t total = 0;
     while (total < data.size()) {
       ssize_t n = ::pwrite(fd_, data.data() + total, data.size() - total,
@@ -169,7 +72,12 @@ class PosixFile : public DurableFile {
     return base::OkStatus();
   }
 
- public:
+  base::Result<uint64_t> Append(base::ByteSpan data) override {
+    ASSIGN_OR_RETURN(uint64_t size, Size());
+    RETURN_IF_ERROR(Write(size, data));
+    return size;
+  }
+
   base::Status Sync() override {
     StoreMetrics* m = GlobalStoreMetrics();
     obs::ScopedTimer timer(m->sync_nanos);
@@ -189,27 +97,6 @@ class PosixFile : public DurableFile {
   }
 
   base::Status Truncate(uint64_t size) override {
-    if (quota_) {
-      ASSIGN_OR_RETURN(uint64_t cur, Size());
-      if (size > cur) {
-        bool fits = false;
-        quota_->Reserve(size - cur, /*allow_partial=*/false, &fits);
-        if (!fits) {
-          return base::ResourceExhausted(
-              "ENOSPC: truncate past file-store quota");
-        }
-        if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
-          quota_->Adjust(-static_cast<int64_t>(size - cur));
-          return ErrnoStatus("ftruncate");
-        }
-        return base::OkStatus();
-      }
-      if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
-        return ErrnoStatus("ftruncate");
-      }
-      quota_->Adjust(-static_cast<int64_t>(cur - size));
-      return base::OkStatus();
-    }
     if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
       return ErrnoStatus("ftruncate");
     }
@@ -218,13 +105,11 @@ class PosixFile : public DurableFile {
 
  private:
   int fd_;
-  std::shared_ptr<QuotaLedger> quota_;  // may be null (no quota)
 };
 
 class FileStore : public DurableStore {
  public:
-  FileStore(std::string dir, std::shared_ptr<QuotaLedger> quota)
-      : dir_(std::move(dir)), quota_(std::move(quota)) {}
+  explicit FileStore(std::string dir) : dir_(std::move(dir)) {}
 
   base::Result<std::unique_ptr<DurableFile>> Open(const std::string& name,
                                                   bool create) override {
@@ -250,25 +135,15 @@ class FileStore : public DurableStore {
       }
       return ErrnoStatus("open " + name);
     }
-    return std::unique_ptr<DurableFile>(new PosixFile(fd, quota_));
+    return std::unique_ptr<DurableFile>(new PosixFile(fd));
   }
 
   base::Status Remove(const std::string& name) override {
-    uint64_t freed = 0;
-    if (quota_) {
-      struct stat st;
-      if (::stat(Path(name).c_str(), &st) == 0) {
-        freed = static_cast<uint64_t>(st.st_size);
-      }
-    }
     if (::unlink(Path(name).c_str()) != 0) {
       if (errno == ENOENT) {
         return base::OkStatus();
       }
       return ErrnoStatus("unlink " + name);
-    }
-    if (quota_) {
-      quota_->Adjust(-static_cast<int64_t>(freed));
     }
     return SyncDir();
   }
@@ -299,19 +174,8 @@ class FileStore : public DurableStore {
   }
 
   base::Status Rename(const std::string& from, const std::string& to) override {
-    // Renaming over an existing file frees the overwritten bytes.
-    uint64_t freed = 0;
-    if (quota_ && to != from) {
-      struct stat st;
-      if (::stat(Path(to).c_str(), &st) == 0) {
-        freed = static_cast<uint64_t>(st.st_size);
-      }
-    }
     if (::rename(Path(from).c_str(), Path(to).c_str()) != 0) {
       return ErrnoStatus("rename " + from + " -> " + to);
-    }
-    if (quota_) {
-      quota_->Adjust(-static_cast<int64_t>(freed));
     }
     // Without this barrier a crash right after rename() can surface the old
     // name again (or neither), losing the §3.4 checkpoint swap.
@@ -340,7 +204,6 @@ class FileStore : public DurableStore {
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
   std::string dir_;
-  std::shared_ptr<QuotaLedger> quota_;  // may be null (no quota)
 };
 
 }  // namespace
@@ -354,33 +217,12 @@ base::Status DurableFile::ReadExact(uint64_t offset, void* buf, size_t len) {
 }
 
 base::Result<std::unique_ptr<DurableStore>> OpenFileStore(const std::string& directory) {
-  return OpenFileStore(directory, FileStoreOptions{});
-}
-
-base::Result<std::unique_ptr<DurableStore>> OpenFileStore(
-    const std::string& directory, const FileStoreOptions& options) {
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
   if (ec) {
     return base::IoError("create_directories " + directory + ": " + ec.message());
   }
-  std::shared_ptr<QuotaLedger> quota;
-  if (options.quota_bytes > 0) {
-    quota = std::make_shared<QuotaLedger>();
-    uint64_t used = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(directory, ec)) {
-      if (entry.is_regular_file()) {
-        used += entry.file_size();
-      }
-    }
-    if (ec) {
-      return base::IoError("directory_iterator: " + ec.message());
-    }
-    base::MutexLock lock(quota->mu);
-    quota->quota = options.quota_bytes;
-    quota->used = used;
-  }
-  return std::unique_ptr<DurableStore>(new FileStore(directory, std::move(quota)));
+  return std::unique_ptr<DurableStore>(new FileStore(directory));
 }
 
 }  // namespace store

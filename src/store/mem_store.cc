@@ -18,9 +18,6 @@ class MemFile : public DurableFile {
 
   base::Result<size_t> Read(uint64_t offset, void* buf, size_t len) override {
     base::MutexLock lock(owner_->mu_);
-    if (owner_->fail_reads_) {
-      return base::IoError("injected read failure");
-    }
     const auto& data = state_->volatile_data;
     if (offset >= data.size()) {
       return size_t{0};
@@ -37,42 +34,12 @@ class MemFile : public DurableFile {
 
   base::Status Write(uint64_t offset, base::ByteSpan data) override {
     base::MutexLock lock(owner_->mu_);
-    uint64_t end = offset + data.size();
-    if (owner_->quota_bytes_ > 0 && end > state_->volatile_data.size()) {
-      uint64_t growth = end - state_->volatile_data.size();
-      if (owner_->UsedBytesLocked() + growth > owner_->quota_bytes_) {
-        // Whole-op failure: a quota-busting pwrite lands nothing.
-        ++owner_->enospc_;
-        GlobalStoreMetrics()->resource_enospc->Increment();
-        return base::ResourceExhausted("ENOSPC: write past mem quota");
-      }
-    }
     return WriteLocked(offset, data);
   }
 
   base::Result<uint64_t> Append(base::ByteSpan data) override {
     base::MutexLock lock(owner_->mu_);
     uint64_t size = state_->volatile_data.size();
-    if (owner_->quota_bytes_ > 0) {
-      uint64_t used = owner_->UsedBytesLocked();
-      uint64_t space =
-          owner_->quota_bytes_ > used ? owner_->quota_bytes_ - used : 0;
-      if (space < data.size()) {
-        // Deterministic ENOSPC short write: the bytes that fit reach the
-        // file (a torn tail recovery must CRC-detect), then the op fails.
-        ++owner_->enospc_;
-        StoreMetrics* m = GlobalStoreMetrics();
-        m->resource_enospc->Increment();
-        if (space > 0) {
-          RETURN_IF_ERROR(WriteLocked(
-              size, base::ByteSpan(data.data(), static_cast<size_t>(space))));
-          m->resource_short_appends->Increment();
-        }
-        return base::ResourceExhausted("ENOSPC: short append " +
-                                       std::to_string(space) + "/" +
-                                       std::to_string(data.size()) + " bytes");
-      }
-    }
     RETURN_IF_ERROR(WriteLocked(size, data));
     return size;
   }
@@ -98,21 +65,13 @@ class MemFile : public DurableFile {
 
   base::Status Truncate(uint64_t size) override {
     base::MutexLock lock(owner_->mu_);
-    if (owner_->quota_bytes_ > 0 && size > state_->volatile_data.size()) {
-      uint64_t growth = size - state_->volatile_data.size();
-      if (owner_->UsedBytesLocked() + growth > owner_->quota_bytes_) {
-        ++owner_->enospc_;
-        GlobalStoreMetrics()->resource_enospc->Increment();
-        return base::ResourceExhausted("ENOSPC: truncate past mem quota");
-      }
-    }
     state_->volatile_data.resize(size);
     state_->unsynced_writes.emplace_back(size, 0);
     return base::OkStatus();
   }
 
  private:
-  // Common body of Write/Append once the quota has admitted the bytes.
+  // Common body of Write/Append.
   base::Status WriteLocked(uint64_t offset, base::ByteSpan data)
       LBC_REQUIRES(owner_->mu_) {
     if (owner_->fail_after_bytes_ >= 0) {
@@ -168,9 +127,6 @@ base::Result<bool> MemStore::Exists(const std::string& name) {
 
 base::Result<std::vector<std::string>> MemStore::List() {
   base::MutexLock lock(mu_);
-  if (fail_reads_) {
-    return base::IoError("injected read failure");
-  }
   std::vector<std::string> names;
   names.reserve(files_.size());
   for (const auto& [name, state] : files_) {
@@ -256,40 +212,9 @@ void MemStore::Crash(size_t torn_bytes) {
   files_ = durable_files_;
 }
 
-uint64_t MemStore::UsedBytesLocked() const {
-  std::set<const FileState*> seen;
-  uint64_t used = 0;
-  for (const auto& [name, state] : files_) {
-    if (seen.insert(state.get()).second) {
-      used += state->volatile_data.size();
-    }
-  }
-  return used;
-}
-
-void MemStore::SetQuotaBytes(uint64_t bytes) {
-  base::MutexLock lock(mu_);
-  quota_bytes_ = bytes;
-}
-
-uint64_t MemStore::used_bytes() const {
-  base::MutexLock lock(mu_);
-  return UsedBytesLocked();
-}
-
-uint64_t MemStore::enospc_count() const {
-  base::MutexLock lock(mu_);
-  return enospc_;
-}
-
 void MemStore::FailWritesAfterBytes(int64_t bytes) {
   base::MutexLock lock(mu_);
   fail_after_bytes_ = bytes;
-}
-
-void MemStore::FailReads(bool fail) {
-  base::MutexLock lock(mu_);
-  fail_reads_ = fail;
 }
 
 uint64_t MemStore::total_bytes_written() const {

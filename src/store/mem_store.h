@@ -49,21 +49,6 @@ class MemStore : public DurableStore {
   // IO_ERROR until cleared with a negative value.
   void FailWritesAfterBytes(int64_t bytes);
 
-  // While enabled, Read and List fail with IO_ERROR (a dying disk that can
-  // still absorb writes) — the read-side complement of FailWritesAfterBytes,
-  // used to exercise degraded-replica paths.
-  void FailReads(bool fail);
-
-  // Caps the namespace at `bytes` total volatile file bytes (0 = unlimited).
-  // A Write/Truncate that would grow past the cap fails whole with
-  // RESOURCE_EXHAUSTED; an Append that only partly fits performs a
-  // deterministic short write of the bytes that fit first (the torn tail a
-  // real ENOSPC leaves), so crash sweeps can explore disk-full states
-  // entirely in-memory. May be tightened or relaxed mid-run.
-  void SetQuotaBytes(uint64_t bytes);
-  uint64_t used_bytes() const;
-  uint64_t enospc_count() const;
-
   // Counters for assertions in tests.
   uint64_t total_bytes_written() const;
   uint64_t sync_count() const;
@@ -79,9 +64,6 @@ class MemStore : public DurableStore {
     std::vector<std::pair<uint64_t, uint64_t>> unsynced_writes;  // offset,len
   };
 
-  // Total volatile bytes across the live namespace (inodes deduplicated).
-  uint64_t UsedBytesLocked() const LBC_REQUIRES(mu_);
-
   // Registers the inode's current volatile name(s) in the durable namespace
   // (called from a file Sync: fsync of a fresh file commits its creation, but
   // it does NOT commit a pending rename — the durable namespace keeps any
@@ -93,9 +75,6 @@ class MemStore : public DurableStore {
   std::map<std::string, std::shared_ptr<FileState>> files_ LBC_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<FileState>> durable_files_ LBC_GUARDED_BY(mu_);
   int64_t fail_after_bytes_ LBC_GUARDED_BY(mu_) = -1;  // <0 means disabled
-  uint64_t quota_bytes_ LBC_GUARDED_BY(mu_) = 0;  // 0 = unlimited
-  uint64_t enospc_ LBC_GUARDED_BY(mu_) = 0;
-  bool fail_reads_ LBC_GUARDED_BY(mu_) = false;
   uint64_t total_bytes_written_ LBC_GUARDED_BY(mu_) = 0;
   uint64_t sync_count_ LBC_GUARDED_BY(mu_) = 0;
 };

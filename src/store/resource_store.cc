@@ -159,8 +159,15 @@ base::Status ResourceStore::Rename(const std::string& from,
 base::Status ResourceStore::SyncDir() { return base_->SyncDir(); }
 
 base::Status ResourceStore::SetQuotaBytes(uint64_t bytes) {
-  // Scan outside mu_ (never hold our mutex across base I/O); callers set the
-  // quota before concurrent traffic starts, as with the other injectors.
+  RETURN_IF_ERROR(RescanUsage());
+  base::MutexLock lock(mu_);
+  quota_ = bytes;
+  return base::OkStatus();
+}
+
+base::Status ResourceStore::RescanUsage() {
+  // Scan outside mu_ (never hold our mutex across base I/O); callers rescan
+  // before concurrent traffic starts, as with the other injectors.
   uint64_t used = 0;
   ASSIGN_OR_RETURN(auto names, base_->List());
   for (const auto& name : names) {
@@ -169,7 +176,6 @@ base::Status ResourceStore::SetQuotaBytes(uint64_t bytes) {
     used += size;
   }
   base::MutexLock lock(mu_);
-  quota_ = bytes;
   used_ = used;
   return base::OkStatus();
 }

@@ -18,10 +18,11 @@
 // media). Accounting assumes all mutations flow through this store's
 // handles; out-of-band writes to the base store are not charged.
 //
-// MemStore and FileStore also model a quota natively (SetQuotaBytes /
-// FileStoreOptions) so crash sweeps can run entirely in-memory with the
-// quota *under* the crash point; this decorator is the composable injection
-// surface for stacks that take a DurableStore*.
+// This is the repo's only byte quota: neither MemStore nor FileStore has one
+// of its own. The crash explorer stacks it under the crash point
+// (CrashPointStore -> ResourceStore -> MemStore) and calls RescanUsage after
+// every simulated power cut, since MemStore::Crash shrinks files behind the
+// decorator's back.
 #ifndef SRC_STORE_RESOURCE_STORE_H_
 #define SRC_STORE_RESOURCE_STORE_H_
 
@@ -52,9 +53,14 @@ class ResourceStore : public DurableStore {
   // --- byte quota ----------------------------------------------------------
 
   // Caps the namespace at `bytes` total file bytes (0 = unlimited). Current
-  // usage is initialized by scanning the underlying store and maintained
-  // incrementally from then on. May be called mid-run to tighten or relax.
+  // usage is initialized by RescanUsage and maintained incrementally from
+  // then on. May be called mid-run to tighten or relax.
   base::Status SetQuotaBytes(uint64_t bytes);
+
+  // Rebuilds used_bytes() from the base store's current file sizes. Call it
+  // when the base changed out of band, e.g. after MemStore::Crash dropped
+  // unsynced bytes; like SetQuotaBytes, not while traffic is in flight.
+  base::Status RescanUsage();
 
   uint64_t quota_bytes() const;
   uint64_t used_bytes() const;

@@ -280,10 +280,10 @@ TEST(Robustness, UpdateForUnknownLockIsTolerated) {
   netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
   ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(rec, true)).ok());
 
-  // The range still applies (last-writer-wins for unsynchronized data).
-  for (int i = 0; i < 1000 && a->GetRegion(kRegion)->data()[0] != 42; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // The range still applies (last-writer-wins for unsynchronized data). The
+  // receiver records the lock's applied sequence under the client mutex
+  // after writing the bytes, so waiting on it orders the read after the write.
+  ASSERT_TRUE(a->WaitForAppliedSeq(9999, 5, 5000));
   EXPECT_EQ(42, a->GetRegion(kRegion)->data()[0]);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace {
@@ -129,9 +130,10 @@ TEST(Fabric, ReceiverThreadDrainsInbox) {
   for (uint8_t i = 1; i <= 10; ++i) {
     ASSERT_TRUE(a->Send(2, Bytes({i})).ok());
   }
-  // Drain completes quickly; poll briefly.
-  for (int spins = 0; spins < 1000 && sum != 55; ++spins) {
-    std::this_thread::yield();
+  // Poll against a deadline, not a spin count: a loaded sanitizer build can
+  // starve the receiver for longer than a fixed number of yields.
+  for (int ms = 0; ms < 5000 && sum != 55; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(55, sum);
   b->StopReceiver();

@@ -10,9 +10,10 @@
 //     out-of-band trim plus retry commits the same transaction.
 //
 //   * Crash-during-ENOSPC sweep: the CrashExplorer's configure_machine hook
-//     puts a byte quota on the simulated disk *under* the crash point, and a
-//     trim-on-ENOSPC workload is crashed before every mutating store op
-//     (plus torn-tail variants), across several quota sizes. Recovery must
+//     puts a ResourceStore byte quota on the simulated disk *under* the
+//     crash point, and a trim-on-ENOSPC workload is crashed before every
+//     mutating store op (plus torn-tail variants), across several quota
+//     sizes. Every power cut rebuilds the quota ledger. Recovery must
 //     restore a committed prefix every time — disk-full plus power-cut is
 //     the paper's §3.5 trim machinery under its worst case.
 //
@@ -50,6 +51,7 @@
 #include "src/store/crash_point_store.h"
 #include "src/store/durable_store.h"
 #include "src/store/mem_store.h"
+#include "src/store/resource_store.h"
 
 namespace {
 
@@ -429,9 +431,10 @@ std::vector<RegionBytes> BuildQuotaShadow() {
 }
 
 // Trim-on-ENOSPC workload harness for the crash sweep. Deterministic by
-// construction: quota refusals are driven purely by byte counts (MemStore
-// whole-fails the positional log write, leaving it retryable), so every
-// replay issues the identical store-op sequence up to the injected crash.
+// construction: quota refusals are driven purely by byte counts
+// (ResourceStore whole-fails the positional log write, leaving it
+// retryable), so every replay issues the identical store-op sequence up to
+// the injected crash.
 // The rvm hard watermark is NOT used here — its stall is wall-clock-timed
 // and would break the explorer's determinism contract.
 class QuotaSweepHarness {
@@ -440,8 +443,8 @@ class QuotaSweepHarness {
       : shadow_(BuildQuotaShadow()) {
     options_.budget = budget;
     options_.seed = seed;
-    options_.configure_machine = [quota](store::MemStore* mem) {
-      mem->SetQuotaBytes(quota);
+    options_.configure_machine = [quota](store::ResourceStore* rs) {
+      EXPECT_TRUE(rs->SetQuotaBytes(quota).ok());
     };
   }
 
@@ -546,11 +549,13 @@ QuotaPlan MeasureQuotaPlan() {
   // Unconstrained footprint of the sweep workload...
   QuotaSweepHarness probe(/*quota=*/0, /*budget=*/1, /*seed=*/1);
   store::MemStore mem;
-  EXPECT_TRUE(probe.RunWorkload(&mem).ok());
-  const uint64_t full = mem.used_bytes();
+  store::ResourceStore rs(&mem);
+  EXPECT_TRUE(probe.RunWorkload(&rs).ok());
+  const uint64_t full = rs.used_bytes();
   // ... and one log record's growth, measured in place.
   store::MemStore rec_mem;
-  auto node = std::move(*rvm::Rvm::Open(&rec_mem, 1, rvm::RvmOptions{}));
+  store::ResourceStore rec_rs(&rec_mem);
+  auto node = std::move(*rvm::Rvm::Open(&rec_rs, 1, rvm::RvmOptions{}));
   EXPECT_TRUE(node->MapRegion(kQRegion, kQRegionBytes).ok());
   auto commit = [&](int i) {
     rvm::TxnId txn = node->BeginTransaction(rvm::RestoreMode::kNoRestore);
@@ -559,9 +564,9 @@ QuotaPlan MeasureQuotaPlan() {
     EXPECT_TRUE(node->EndTransaction(txn, rvm::CommitMode::kFlush).ok());
   };
   commit(0);
-  uint64_t before = rec_mem.used_bytes();
+  uint64_t before = rec_rs.used_bytes();
   commit(1);
-  const uint64_t rec = rec_mem.used_bytes() - before;
+  const uint64_t rec = rec_rs.used_bytes() - before;
   EXPECT_GT(rec, 0u);
   return QuotaPlan{full - 2 * rec, full - rec, full + rec};
 }
@@ -580,12 +585,13 @@ TEST(QuotaCrashSweep, EveryCrashDuringEnospcRecoversToCommittedPrefix) {
     // actually exercise the ENOSPC → trim → retry path the sweep is after.
     {
       store::MemStore mem;
-      mem.SetQuotaBytes(quota);
-      base::Status st = harness.RunWorkload(&mem);
+      store::ResourceStore rs(&mem);
+      ASSERT_TRUE(rs.SetQuotaBytes(quota).ok());
+      base::Status st = harness.RunWorkload(&rs);
       ASSERT_TRUE(st.ok()) << st.ToString();
       if (quota <= plan.tight) {
         ASSERT_GT(harness.enospc_commits(), 0);
-        ASSERT_GT(mem.enospc_count(), 0u);
+        ASSERT_GT(rs.enospc_count(), 0u);
       }
     }
 
