@@ -91,13 +91,13 @@ std::vector<uint8_t> BuildLogBytes(const std::vector<rvm::TransactionRecord>& tx
   rvm::LogWriter writer(std::move(*file));
   if (with_checkpoint) {
     std::vector<uint8_t> cp = rvm::EncodeCheckpoint();
-    if (!writer.Append(base::ByteSpan(cp.data(), cp.size()), false).ok()) {
+    if (!writer.Append(base::ByteSpan(cp.data(), cp.size())).ok()) {
       std::exit(1);
     }
   }
   for (const auto& txn : txns) {
     std::vector<uint8_t> payload = rvm::EncodeTransaction(txn);
-    if (!writer.Append(base::ByteSpan(payload.data(), payload.size()), false).ok()) {
+    if (!writer.Append(base::ByteSpan(payload.data(), payload.size())).ok()) {
       std::exit(1);
     }
   }
@@ -177,12 +177,12 @@ void GenLogSeeds() {
     auto file = store.Open("log.rvm", /*create=*/true);
     rvm::LogWriter writer(std::move(*file));
     std::vector<uint8_t> payload = rvm::EncodeTransaction(MakeTxn(0, 1, {}, {}));
-    if (!writer.Append(base::ByteSpan(payload.data(), payload.size()), false).ok()) {
+    if (!writer.Append(base::ByteSpan(payload.data(), payload.size())).ok()) {
       std::exit(1);
     }
     std::vector<uint8_t> loose_cp = {
         static_cast<uint8_t>(rvm::LogRecordKind::kCheckpoint), 0xFF, 0xFF};
-    if (!writer.Append(base::ByteSpan(loose_cp.data(), loose_cp.size()), false).ok()) {
+    if (!writer.Append(base::ByteSpan(loose_cp.data(), loose_cp.size())).ok()) {
       std::exit(1);
     }
     auto reopened = store.Open("log.rvm", /*create=*/false);

@@ -122,7 +122,7 @@ int RunLogFrameScan(const uint8_t* data, size_t size) {
   rvm::LogWriter writer(std::move(*rewritten));
   for (const auto& txn : *txns) {
     std::vector<uint8_t> payload = rvm::EncodeTransaction(txn);
-    if (!writer.Append(base::ByteSpan(payload.data(), payload.size()), false).ok()) {
+    if (!writer.Append(base::ByteSpan(payload.data(), payload.size())).ok()) {
       return 0;
     }
   }

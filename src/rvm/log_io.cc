@@ -6,61 +6,34 @@
 
 namespace rvm {
 
-base::Status LogWriter::Append(const std::vector<base::ByteSpan>& parts, bool sync_now) {
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-  for (const auto& part : parts) {
-    payload_len += part.size();
-    crc = base::Crc32c(part.data(), part.size(), crc);
+void EncodeFrames(const std::vector<base::ByteSpan>& payloads, std::vector<uint8_t>* out) {
+  size_t total = out->size();
+  for (const auto& p : payloads) {
+    total += kFrameHeaderSize + p.size();
   }
-
-  // Assemble the frame in one contiguous write so a crash tears at most the
-  // suffix (the reader detects any partial frame via length/CRC).
-  scratch_.clear();
-  scratch_.reserve(kFrameHeaderSize + payload_len);
-  auto push_u32 = [this](uint32_t v) {
+  out->reserve(total);
+  auto push_u32 = [out](uint32_t v) {
     const auto* p = reinterpret_cast<const uint8_t*>(&v);
-    scratch_.insert(scratch_.end(), p, p + sizeof(v));
+    out->insert(out->end(), p, p + sizeof(v));
   };
-  push_u32(kLogMagic);
-  push_u32(static_cast<uint32_t>(payload_len));
-  push_u32(crc);
-  for (const auto& part : parts) {
-    scratch_.insert(scratch_.end(), part.begin(), part.end());
+  for (const auto& payload : payloads) {
+    push_u32(kLogMagic);
+    push_u32(static_cast<uint32_t>(payload.size()));
+    push_u32(base::Crc32c(payload.data(), payload.size()));
+    out->insert(out->end(), payload.begin(), payload.end());
   }
-
-  RETURN_IF_ERROR(file_->Write(offset_, base::ByteSpan(scratch_.data(), scratch_.size())));
-  offset_ += scratch_.size();
-  ++records_;
-  if (sync_now) {
-    RETURN_IF_ERROR(file_->Sync());
-  }
-  return base::OkStatus();
 }
 
 base::Status LogWriter::AppendBatch(const std::vector<base::ByteSpan>& payloads) {
   if (payloads.empty()) {
     return base::OkStatus();
   }
-  size_t total = 0;
-  for (const auto& p : payloads) {
-    total += kFrameHeaderSize + p.size();
-  }
+  // One contiguous write, so a crash tears at most a suffix of the frames
+  // (the reader detects any partial frame via length/CRC).
   scratch_.clear();
-  scratch_.reserve(total);
-  auto push_u32 = [this](uint32_t v) {
-    const auto* p = reinterpret_cast<const uint8_t*>(&v);
-    scratch_.insert(scratch_.end(), p, p + sizeof(v));
-  };
-  for (const auto& payload : payloads) {
-    push_u32(kLogMagic);
-    push_u32(static_cast<uint32_t>(payload.size()));
-    push_u32(base::Crc32c(payload.data(), payload.size()));
-    scratch_.insert(scratch_.end(), payload.begin(), payload.end());
-  }
+  EncodeFrames(payloads, &scratch_);
   RETURN_IF_ERROR(file_->Write(offset_, base::ByteSpan(scratch_.data(), scratch_.size())));
-  offset_ += scratch_.size();
-  records_ += payloads.size();
+  Advance(scratch_.size(), payloads.size());
   return base::OkStatus();
 }
 

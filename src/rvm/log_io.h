@@ -2,9 +2,9 @@
 //
 // Frame layout:  u32 magic | u32 payload_len | u32 crc32c(payload) | payload
 //
-// The writer supports gather-appends so transaction commits can stream the
-// modified bytes straight from the region images without building an object
-// log in memory (paper §3.2). The reader stops cleanly at a torn tail: any
+// EncodeFrames is the one frame encoder: LogWriter frames through it, and so
+// does a caller that writes through the writer's file itself (the commit
+// pipeline's unlocked append). The reader stops cleanly at a torn tail: any
 // frame whose magic, length, or checksum does not verify is treated as the
 // end of the log, exactly like RVM recovery.
 #ifndef SRC_RVM_LOG_IO_H_
@@ -23,18 +23,16 @@ namespace rvm {
 inline constexpr uint32_t kLogMagic = 0x4C4D5652;  // "RVML"
 inline constexpr size_t kFrameHeaderSize = 12;
 
+// Appends to `out` one frame per payload, in order.
+void EncodeFrames(const std::vector<base::ByteSpan>& payloads, std::vector<uint8_t>* out);
+
 class LogWriter {
  public:
   explicit LogWriter(std::unique_ptr<store::DurableFile> file, uint64_t start_offset = 0)
       : file_(std::move(file)), offset_(start_offset) {}
 
-  // Appends one record whose payload is the concatenation of `parts`.
-  // Durable only after Sync() unless sync_now.
-  base::Status Append(const std::vector<base::ByteSpan>& parts, bool sync_now);
-
-  base::Status Append(base::ByteSpan payload, bool sync_now) {
-    return Append(std::vector<base::ByteSpan>{payload}, sync_now);
-  }
+  // Appends one record; durable only after Sync().
+  base::Status Append(base::ByteSpan payload) { return AppendBatch({payload}); }
 
   // Group commit: appends one frame per payload, all frames in ONE
   // contiguous Write; durable only after Sync(). Each payload keeps its
@@ -46,9 +44,17 @@ class LogWriter {
 
   base::Status Sync() { return file_->Sync(); }
 
-  // The underlying file, shared: a caller may Sync it without holding the
-  // writer's lock, and the handle outlives a swap that replaces the writer.
+  // The underlying file, shared: a caller may Sync it, or write frames at
+  // bytes_written() and then Advance, without holding the writer's lock,
+  // and the handle outlives a swap that replaces the writer.
   std::shared_ptr<store::DurableFile> file() const { return file_; }
+
+  // Counts `bytes` of framed `records` that a caller wrote through file()
+  // at bytes_written(), so later appends land after them.
+  void Advance(uint64_t bytes, uint64_t records) {
+    offset_ += bytes;
+    records_ += records;
+  }
 
   uint64_t bytes_written() const { return offset_; }
   uint64_t records_written() const { return records_; }

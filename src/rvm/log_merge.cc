@@ -99,8 +99,7 @@ base::Status WriteMergedLog(store::DurableStore* store,
   LogWriter writer(std::move(file));
   for (const auto& txn : merged) {
     std::vector<uint8_t> payload = EncodeTransaction(txn);
-    RETURN_IF_ERROR(
-        writer.Append(base::ByteSpan(payload.data(), payload.size()), /*sync_now=*/false));
+    RETURN_IF_ERROR(writer.Append(base::ByteSpan(payload.data(), payload.size())));
   }
   return writer.Sync();
 }

@@ -390,7 +390,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       pc.enqueued_nanos = base::SteadyClock::Instance()->NowNanos();
       commit_queue_.push_back(&pc);
 
-      // Group commit in two stages, each with mu_ released for its I/O.
+      // Group commit in two stages, each with no lock held for its I/O.
       // Append: the first waiter that finds the baton free drains the WHOLE
       // queue as one vectored append and hands the baton straight on, so
       // the next cohort appends while this one syncs. Sync: once written,
@@ -460,13 +460,36 @@ Rvm::BatchResult Rvm::WriteBatch(const std::vector<PendingCommit*>& batch) {
   for (const PendingCommit* pc : batch) {
     payloads.push_back(pc->payload.span());
   }
+  std::vector<uint8_t> frames;
+  EncodeFrames(payloads, &frames);
   BatchResult result;
+  std::shared_ptr<store::DurableFile> file;
+  {
+    base::MutexLock log_lock(log_mu_);
+    result.generation = log_generation_;
+    result.bytes_before = log_->bytes_written();
+    file = log_->file();
+    append_in_flight_ = true;
+  }
+  // No lock across the write: syncs settle and swaps queue meanwhile. The
+  // baton makes this the only append, and every swap waits for the flag,
+  // so the noted offset stays this file's end until the offset advances.
+  result.status =
+      file->Write(result.bytes_before, base::ByteSpan(frames.data(), frames.size()));
   base::MutexLock log_lock(log_mu_);
-  result.generation = log_generation_;
-  result.bytes_before = log_->bytes_written();
-  result.status = log_->AppendBatch(payloads);
+  if (result.status.ok()) {
+    log_->Advance(frames.size(), batch.size());
+  }
   result.bytes_after = log_->bytes_written();
+  append_in_flight_ = false;
+  append_cv_.NotifyAll();
   return result;
+}
+
+void Rvm::WaitForAppendLocked(base::MutexLock& log_lock) {
+  while (append_in_flight_) {
+    append_cv_.Wait(log_lock);
+  }
 }
 
 void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
@@ -727,6 +750,7 @@ base::Status Rvm::ResetLog() {
   }
   {
     base::MutexLock log_lock(log_mu_);
+    WaitForAppendLocked(log_lock);
     RETURN_IF_ERROR(log_->Reset());
     synced_end_ = 0;
     ++log_generation_;
@@ -790,6 +814,13 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   for (bool hold_for_scan : {false, true}) {
     RETURN_IF_ERROR(FlushLog());
     base::MutexLock log_lock(log_mu_);
+    // The scan under log_mu_ waits out any append being written with no
+    // lock held: it would copy a torn tail, and the write would land in the
+    // file the swap replaces. The wait releases log_mu_, so a swap may slip
+    // in; it therefore precedes the generation read and check.
+    if (hold_for_scan) {
+      WaitForAppendLocked(log_lock);
+    }
     const uint64_t generation = log_generation_;
     ASSIGN_OR_RETURN(auto file, store_->Open(log_name, /*create=*/false));
     LogReader reader(file.get());
@@ -798,6 +829,7 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
       log_lock.Unlock();
       RETURN_IF_ERROR(scan(&reader, &kept));
       log_lock.Lock();
+      WaitForAppendLocked(log_lock);
       if (log_generation_ != generation) {
         continue;
       }
@@ -849,6 +881,7 @@ base::Status Rvm::TruncateLog() {
   }
   {
     base::MutexLock log_lock(log_mu_);
+    WaitForAppendLocked(log_lock);
     RETURN_IF_ERROR(log_->Sync());
     RETURN_IF_ERROR(ReplayLogsIntoDatabase(store_, {LogFileName(node_)}));
     RETURN_IF_ERROR(log_->Reset());

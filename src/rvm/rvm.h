@@ -160,8 +160,9 @@ class Rvm {
   // The pipeline has two stages, each with one leader at a time, so one
   // batch can append while the previous one syncs. Append: the first waiter
   // that finds the baton free drains the queue into ONE vectored log
-  // append, stamps the batch with the log's generation and end offset, and
-  // hands the baton on at once (kNoFlush commits are done here). Sync: a
+  // append, written with no lock held, stamps the batch with the log's
+  // generation and end offset, and hands the baton on at once (kNoFlush
+  // commits are done here). Sync: a
   // kFlush commit is done once the durable watermark covers its end; when
   // it is not covered and no sync is in flight, the commit leads one sync
   // with no lock held, which settles every commit it covered. A batch is
@@ -227,9 +228,10 @@ class Rvm {
   // caller just wrote); everything else — newer records and lock-free
   // records — is kept, in order. Runs in two phases so commits on this
   // node keep going: the log is scanned with no lock held, then log_mu_
-  // alone is taken to copy the frames appended meanwhile and swap in the
-  // trimmed file. The instance lock is taken only briefly at the end, to
-  // close the backpressure episode. A ResetLog, TruncateLog or trim that
+  // alone is taken to copy the frames appended meanwhile (once any
+  // in-flight append has finished) and swap in the trimmed file. The
+  // instance lock is taken only briefly at the end, to close the
+  // backpressure episode. A ResetLog, TruncateLog or trim that
   // swaps the file mid-scan forces one rescan under log_mu_.
   [[nodiscard]] base::Status TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines)
       LBC_EXCLUDES(mu_, log_mu_);
@@ -312,8 +314,9 @@ class Rvm {
   base::Status Init();
 
   // Append stage. TakeBatchLocked claims the baton and drains the queue;
-  // WriteBatch is the leader's one vectored append (log_mu_ only, called
-  // with mu_ dropped so committers keep enqueueing and syncs keep running);
+  // WriteBatch is the leader's one vectored append, called with mu_
+  // dropped: it notes the offset and file under log_mu_ and writes with no
+  // lock held, so committers keep enqueueing and syncs keep settling;
   // FinishBatchLocked stamps and publishes the batch, parks its kFlush
   // members for the sync stage and hands the baton on.
   std::vector<PendingCommit*> TakeBatchLocked() LBC_REQUIRES(mu_);
@@ -322,6 +325,10 @@ class Rvm {
   void FinishBatchLocked(const std::vector<PendingCommit*>& batch,
                          const BatchResult& result, bool* crossed_soft)
       LBC_REQUIRES(mu_);
+
+  // Waits until no append is writing with no lock held. Every path that
+  // replaces, empties or tail-reads the log calls it under log_mu_.
+  void WaitForAppendLocked(base::MutexLock& log_lock) LBC_REQUIRES(log_mu_);
 
   // Sync stage. At most one sync is in flight: BeginSyncLocked claims it
   // and notes what it will cover; the leader then drops mu_ and syncs
@@ -361,11 +368,12 @@ class Rvm {
   TxnId next_txn_ LBC_GUARDED_BY(mu_) = 1;
   uint64_t commit_seq_ LBC_GUARDED_BY(mu_) = 0;
 
-  // Log writer state, guarded by its own mutex so the batch leader's I/O
-  // runs with mu_ RELEASED: committers gather and enqueue under mu_ while
-  // the previous batch is still being written. Order is always mu_ ->
-  // log_mu_, never the reverse (the leader drops mu_ before taking log_mu_
-  // and re-acquires mu_ only after releasing it).
+  // Log writer state, guarded by its own mutex. The batch leader holds
+  // neither lock across its write (see append_in_flight_), so committers
+  // enqueue and syncs settle under mu_ while the previous batch is still
+  // being written. Order is always mu_ -> log_mu_, never the reverse (the
+  // leader drops mu_ before taking log_mu_ and re-acquires mu_ only after
+  // releasing it).
   mutable base::Mutex log_mu_{"rvm.log", base::LockRank::kRvmLog};
   std::unique_ptr<LogWriter> log_ LBC_GUARDED_BY(log_mu_);
   // Bumped whenever the log file is replaced or emptied, so a trim that
@@ -376,6 +384,10 @@ class Rvm {
   // it survived a Sync that began after it was written. Swaps reset it to
   // the new file's synced size.
   uint64_t synced_end_ LBC_GUARDED_BY(log_mu_) = 0;
+  // Set while the append leader writes a batch with no lock held, at the
+  // offset it noted; append_cv_ is signaled when it clears.
+  bool append_in_flight_ LBC_GUARDED_BY(log_mu_) = false;
+  base::CondVar append_cv_;
 
   // --- commit pipeline (group commit) ------------------------------------
   // Commits enqueue here in commit_seq order; the first waiter that finds

@@ -149,10 +149,10 @@ TEST(AdversarialRecovery, CheckpointWithTrailingBytesRejects) {
   ASSERT_TRUE(file.ok());
   rvm::LogWriter writer(std::move(*file));
   std::vector<uint8_t> txn = rvm::EncodeTransaction(SampleTxn());
-  ASSERT_TRUE(writer.Append(ByteSpan(txn.data(), txn.size()), false).ok());
+  ASSERT_TRUE(writer.Append(ByteSpan(txn.data(), txn.size())).ok());
   std::vector<uint8_t> loose_cp = {static_cast<uint8_t>(rvm::LogRecordKind::kCheckpoint),
                                    0xFF};
-  ASSERT_TRUE(writer.Append(ByteSpan(loose_cp.data(), loose_cp.size()), false).ok());
+  ASSERT_TRUE(writer.Append(ByteSpan(loose_cp.data(), loose_cp.size())).ok());
   auto txns = rvm::ReadLogTransactions(&store, "log_0.rvm");
   EXPECT_FALSE(txns.ok());
 }

@@ -1,9 +1,9 @@
 // Test-only DurableStore decorator that runs a callback after every Read of
-// one named file, and another before every Sync of one named file, on the
-// calling thread. Tests use it to stop a log scan or a log sync at a known
-// point: park it on a latch while other threads commit (HookLatch), land a
-// commit synchronously when the scan hits the end of the file, or fail the
-// sync.
+// one named file, and others before every Sync or Write of one named file,
+// on the calling thread. Tests use it to stop a log scan, a log sync or a
+// log append at a known point: park it on a latch while other threads
+// commit (HookLatch), land a commit synchronously when the scan hits the
+// end of the file, or fail the sync.
 #ifndef TESTS_READ_HOOK_STORE_H_
 #define TESTS_READ_HOOK_STORE_H_
 
@@ -27,6 +27,8 @@ class ReadHookStore : public store::DurableStore {
   // Runs before the Sync reaches the base store; a non-OK result fails the
   // Sync with that status and the base store never sees it.
   using SyncHook = std::function<base::Status()>;
+  // Runs before the Write reaches the base store, with the same contract.
+  using WriteHook = SyncHook;
 
   // Does not own `base`; it must outlive this store and its handles.
   explicit ReadHookStore(store::DurableStore* base) : base_(base) {}
@@ -43,8 +45,14 @@ class ReadHookStore : public store::DurableStore {
   // hook disarms.
   void SetSyncHook(const std::string& name, SyncHook hook) {
     base::MutexLock lock(mu_);
-    sync_name_ = name;
-    sync_hook_ = std::move(hook);
+    sync_hook_ = {name, std::move(hook)};
+  }
+
+  // Hooks Writes of `name` through handles opened under that name. An
+  // empty hook disarms.
+  void SetWriteHook(const std::string& name, WriteHook hook) {
+    base::MutexLock lock(mu_);
+    write_hook_ = {name, std::move(hook)};
   }
 
   base::Result<std::unique_ptr<store::DurableFile>> Open(const std::string& name,
@@ -76,13 +84,14 @@ class ReadHookStore : public store::DurableStore {
       return got;
     }
     base::Status Write(uint64_t offset, base::ByteSpan data) override {
+      RETURN_IF_ERROR(owner_->Before(&ReadHookStore::write_hook_, name_));
       return base_->Write(offset, data);
     }
     base::Result<uint64_t> Append(base::ByteSpan data) override {
       return base_->Append(data);
     }
     base::Status Sync() override {
-      RETURN_IF_ERROR(owner_->BeforeSync(name_));
+      RETURN_IF_ERROR(owner_->Before(&ReadHookStore::sync_hook_, name_));
       return base_->Sync();
     }
     base::Result<uint64_t> Size() const override { return base_->Size(); }
@@ -107,14 +116,22 @@ class ReadHookStore : public store::DurableStore {
     hook(offset, got);
   }
 
-  base::Status BeforeSync(const std::string& name) {
+  // A Sync or Write hook and the file name it is armed for.
+  struct OpHook {
+    std::string name;
+    SyncHook hook;
+  };
+
+  // Runs the `which` hook if it is armed for `name`, outside mu_.
+  base::Status Before(OpHook ReadHookStore::*which, const std::string& name) {
     SyncHook hook;
     {
       base::MutexLock lock(mu_);
-      if (!sync_hook_ || name != sync_name_) {
+      const OpHook& armed = this->*which;
+      if (!armed.hook || name != armed.name) {
         return base::OkStatus();
       }
-      hook = sync_hook_;
+      hook = armed.hook;
     }
     return hook();
   }
@@ -123,12 +140,13 @@ class ReadHookStore : public store::DurableStore {
   base::Mutex mu_{"test.read_hook"};
   std::string name_ LBC_GUARDED_BY(mu_);
   Hook hook_ LBC_GUARDED_BY(mu_);
-  std::string sync_name_ LBC_GUARDED_BY(mu_);
-  SyncHook sync_hook_ LBC_GUARDED_BY(mu_);
+  OpHook sync_hook_ LBC_GUARDED_BY(mu_);
+  OpHook write_hook_ LBC_GUARDED_BY(mu_);
 };
 
-// One-shot latch for hooked Reads or Syncs: the caller of the (skip + 1)-th
-// hooked op parks until Release(); every other op passes straight through.
+// One-shot latch for hooked Reads, Syncs or Writes: the caller of the
+// (skip + 1)-th hooked op parks until Release(); every other op passes
+// straight through.
 class HookLatch {
  public:
   explicit HookLatch(int skip = 0) : skip_(skip) {}
@@ -142,6 +160,7 @@ class HookLatch {
       return base::OkStatus();
     };
   }
+  ReadHookStore::WriteHook WriteHook() { return SyncHook(); }
 
   // True once a reader is parked; false if none arrived within `timeout`.
   bool WaitParked(std::chrono::milliseconds timeout) {

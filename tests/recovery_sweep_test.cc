@@ -26,18 +26,23 @@
 //   6. A checkpoint trim with a commit landing between its unlocked scan
 //      and its locked swap, cut before every store op of the trim and of
 //      that commit: recovery drains to the committed prefix.
+//   7. A checkpoint trim whose locked tail scan meets a commit's append in
+//      flight (written with no lock held), cut before every store op of
+//      the trim and of that commit: recovery drains to the committed prefix.
 //
 // Budget/seed are env-tunable like crash_explorer_test: LBC_CRASH_BUDGET
 // (0 = exhaustive) and LBC_CRASH_SEED.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/status.h"
@@ -584,6 +589,97 @@ TEST(RecoverySweep, TrimWithCommitBetweenScanAndSwapRecoversCommittedPrefix) {
   // issues no log sync of its own: the kFlush commits already synced the
   // log to its end.
   EXPECT_GT(cut, 8u);
+}
+
+// The append leader writes with no lock held, so a trim can reach its
+// locked tail scan while a commit's write is in flight; it must wait for
+// the write and copy the record. The commit's write is parked until the
+// trim's unlocked scan reads the end of the file, and its sync (if it still
+// leads one) until the trim returns, which fixes the store-op order: the
+// write, the trim's swap, then that sync of the replaced file. Cut power
+// before every one of those ops, torn and untorn. Recovery must drain to the
+// acknowledged commits, plus at most the in-flight one if it failed.
+TEST(RecoverySweep, TrimWithAppendInFlightRecoversCommittedPrefix) {
+  bool finished = false;
+  uint64_t cut = 0;
+  for (; !finished; ++cut) {
+    for (size_t torn : {size_t{0}, size_t{5}}) {
+      store::MemStore mem;
+      store::CrashPointStore cps(&mem);
+      cps.SetCrashHook([&mem] { mem.Crash(0); });
+      lbc_test::ReadHookStore store(&cps);
+      RegionBytes committed(kRegionSize, 0);
+      auto node = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+      ASSERT_TRUE(node->MapRegion(1, kRegionSize).ok());
+      auto commit = [&](uint64_t offset, uint8_t fill, uint64_t seq) {
+        rvm::TxnId txn = node->BeginTransaction(rvm::RestoreMode::kNoRestore);
+        RETURN_IF_ERROR(node->SetRange(txn, 1, offset, kSliceSize));
+        std::memset(node->GetRegion(1)->data() + offset, fill, kSliceSize);
+        RETURN_IF_ERROR(node->SetLockId(txn, kLockR1, seq));
+        RETURN_IF_ERROR(node->EndTransaction(txn, rvm::CommitMode::kFlush));
+        std::memset(committed.data() + offset, fill, kSliceSize);
+        return base::OkStatus();
+      };
+      // Seq 1 is checkpointed into the database (the trim drops it); seq 2
+      // lives only in the log (the trim keeps it).
+      ASSERT_TRUE(commit(0, 0x42, 1).ok());
+      ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&store, {rvm::LogFileName(1)}).ok());
+      ASSERT_TRUE(commit(kSliceSize, 0x55, 2).ok());
+      RegionBytes with_in_flight = committed;
+      std::memset(with_in_flight.data() + 2 * kSliceSize, 0x66, kSliceSize);
+
+      lbc_test::HookLatch write_latch;
+      lbc_test::HookLatch sync_latch;
+      store.SetWriteHook(rvm::LogFileName(1), write_latch.WriteHook());
+      store.SetSyncHook(rvm::LogFileName(1), sync_latch.SyncHook());
+      cps.ResetOpCount();
+      cps.ArmCrashAtOp(cut, torn);
+      base::Status in_flight = base::Internal("never committed");
+      std::thread committer([&] { in_flight = commit(2 * kSliceSize, 0x66, 3); });
+      const bool parked = write_latch.WaitParked(std::chrono::seconds(10));
+      bool fired = false;
+      store.SetReadHook(rvm::LogFileName(1), [&](uint64_t, size_t got) {
+        if (got == 0 && !fired) {
+          fired = true;
+          write_latch.Release();
+        }
+      });
+      const bool trim_completed = parked && node->TrimLogWithBaselines({{kLockR1, 1}}).ok();
+      store.SetReadHook("", nullptr);
+      write_latch.Release();
+      sync_latch.Release();
+      committer.join();
+      store.SetWriteHook("", nullptr);
+      store.SetSyncHook("", nullptr);
+      cps.Disarm();
+      ASSERT_TRUE(parked) << "the commit never appended";
+      finished = trim_completed && in_flight.ok();
+      if (trim_completed) {
+        // The uncovered record and the in-flight one, copied as the tail.
+        auto kept = rvm::ReadLogTransactions(&cps, rvm::LogFileName(1));
+        ASSERT_TRUE(kept.ok());
+        ASSERT_EQ(2u, kept->size()) << "cut before op " << cut << " (torn " << torn << ")";
+        EXPECT_EQ(3u, (*kept)[1].locks[0].sequence);
+      }
+      node.reset();
+      mem.Crash(0);
+
+      auto index = rvm::LogIndex::Build(&cps, {rvm::LogFileName(1)});
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      rvm::IncrementalRecovery recovery(&cps, std::move(*index));
+      base::Status drained = recovery.MaterializeRegion(1);
+      ASSERT_TRUE(drained.ok()) << "cut before op " << cut << " (torn " << torn
+                                << "): " << drained.ToString();
+      const RegionBytes got = *ReadRegionFile(&cps, 1);
+      EXPECT_TRUE(got == committed || (!in_flight.ok() && got == with_in_flight))
+          << "cut before op " << cut << " (torn " << torn << "), in-flight commit "
+          << in_flight.ToString();
+      ASSERT_TRUE(VerifyRegionPages(&cps, 1).ok()) << "cut before op " << cut;
+    }
+  }
+  // The in-flight commit's write, then the temp file's create, truncate,
+  // write and sync, the rename and the directory sync.
+  EXPECT_GT(cut, 7u);
 }
 
 }  // namespace

@@ -401,6 +401,73 @@ TEST(GroupCommit, NextBatchAppendsWhileSyncIsInFlightButWaitsForItsOwnSync) {
   EXPECT_EQ(2u, r->stats().commit_batches);
 }
 
+TEST(GroupCommit, SyncSettlesAndPeerAppliesWhileAnAppendIsInFlight) {
+  // A appends and its sync parks; B's append then parks inside its write.
+  // The append leader writes with no lock held, so when A's sync returns A
+  // settles and returns, and a peer's update and a new transaction get the
+  // instance lock: nothing on this node waits behind B's write.
+  store::MemStore mem;
+  lbc_test::ReadHookStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 4096).ok());
+  lbc_test::HookLatch sync_latch;
+  store.SetSyncHook(rvm::LogFileName(1), sync_latch.SyncHook());
+  lbc_test::HookLatch write_latch;
+
+  base::Status a_status, b_status;
+  std::atomic<bool> a_returned{false};
+  std::thread a([&] {
+    CommitByte(r.get(), 0, 0xA1, &a_status);
+    a_returned = true;
+  });
+  if (!sync_latch.WaitParked(std::chrono::seconds(10))) {
+    sync_latch.Release();
+    a.join();
+    FAIL() << "A never synced";
+  }
+  // Armed only now, so the first hooked write is B's.
+  store.SetWriteHook(rvm::LogFileName(1), write_latch.WriteHook());
+  std::thread b([&] { CommitByte(r.get(), 1, 0xB2, &b_status); });
+  if (!write_latch.WaitParked(std::chrono::seconds(10))) {
+    write_latch.Release();
+    sync_latch.Release();
+    a.join();
+    b.join();
+    FAIL() << "B never appended";
+  }
+  sync_latch.Release();
+  const bool a_settled = WaitFor([&] { return a_returned.load(); });
+  base::Status peer_status;
+  std::atomic<bool> peer_done{false};
+  std::thread peer([&] {
+    const uint8_t byte = 0xEE;
+    peer_status = r->ApplyExternalUpdate(kRegion, 100, base::ByteSpan(&byte, 1));
+    rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    if (peer_status.ok()) {
+      peer_status = r->AbortTransaction(txn);
+    }
+    peer_done = true;
+  });
+  const bool peer_in_time = WaitFor([&] { return peer_done.load(); });
+  write_latch.Release();
+  a.join();
+  b.join();
+  peer.join();
+  store.SetSyncHook("", nullptr);
+  store.SetWriteHook("", nullptr);
+
+  EXPECT_TRUE(a_settled) << "A's sync returned but A waited for B's in-flight append";
+  EXPECT_TRUE(peer_in_time) << "a peer apply or a begin waited for B's in-flight append";
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  ASSERT_TRUE(peer_status.ok()) << peer_status.ToString();
+  EXPECT_EQ(2u, r->stats().commit_batches);
+  auto logged = *rvm::ReadLogTransactions(&mem, rvm::LogFileName(1));
+  ASSERT_EQ(2u, logged.size());
+  EXPECT_EQ(0u, logged[0].ranges[0].offset);
+  EXPECT_EQ(1u, logged[1].ranges[0].offset);
+}
+
 TEST(GroupCommit, FailedSyncFailsEveryCommitItCoveredAndNoLaterSyncAcksThem) {
   // A1 and A2 append as one batch and share a sync that parks, then fails.
   // B appends meanwhile, so the failed sync does not cover it; B's own
@@ -627,6 +694,101 @@ TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
   }
   EXPECT_EQ(0xB0, region2->data()[10]);
   EXPECT_EQ(0xC0, region2->data()[11]);
+}
+
+TEST(RvmConcurrency, TrimAndResetWaitForAnInFlightAppend) {
+  // The append leader writes with no lock held. A reset that emptied the
+  // log meanwhile would leave the write past the new end; a trim that
+  // copied the tail and swapped meanwhile would drop the record and leave
+  // the write in the replaced file. Both must wait for the write.
+  store::MemStore mem;
+  lbc_test::ReadHookStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  rvm::Region* region = *r->MapRegion(kRegion, 4096);
+  auto log_file_size = [&] {
+    auto file = std::move(*mem.Open(rvm::LogFileName(1), /*create=*/false));
+    return *file->Size();
+  };
+
+  // Reset: B's write parks, ResetLog waits for it, then empties the log.
+  lbc_test::HookLatch reset_latch;
+  store.SetWriteHook(rvm::LogFileName(1), reset_latch.WriteHook());
+  base::Status b_status;
+  std::thread b([&] { CommitByte(r.get(), 1, 0xB2, &b_status); });
+  if (!reset_latch.WaitParked(std::chrono::seconds(10))) {
+    reset_latch.Release();
+    b.join();
+    FAIL() << "B never appended";
+  }
+  base::Status reset_status;
+  std::atomic<bool> reset_done{false};
+  std::thread reset([&] {
+    reset_status = r->ResetLog();
+    reset_done = true;
+  });
+  // Give the reset every chance to finish early.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const bool reset_early = reset_done;
+  reset_latch.Release();
+  reset.join();
+  b.join();
+  EXPECT_FALSE(reset_early) << "the reset ran while an append was in flight";
+  ASSERT_TRUE(reset_status.ok()) << reset_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_EQ(0u, r->log_bytes());
+  EXPECT_EQ(0u, log_file_size());
+
+  // Trim: a checkpointed record, then A's write parks, and the trim scans
+  // to the end of the file and must not swap until A's write is done.
+  constexpr rvm::LockId kLock = 9;
+  rvm::TxnId checkpointed = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  ASSERT_TRUE(r->SetRange(checkpointed, kRegion, 2, 1).ok());
+  region->data()[2] = 0xC0;
+  ASSERT_TRUE(r->SetLockId(checkpointed, kLock, 1).ok());
+  ASSERT_TRUE(r->EndTransaction(checkpointed, rvm::CommitMode::kFlush).ok());
+  lbc_test::HookLatch trim_latch;
+  store.SetWriteHook(rvm::LogFileName(1), trim_latch.WriteHook());
+  base::Status a_status;
+  std::thread a([&] { CommitByte(r.get(), 0, 0xA1, &a_status); });
+  if (!trim_latch.WaitParked(std::chrono::seconds(10))) {
+    trim_latch.Release();
+    a.join();
+    FAIL() << "A never appended";
+  }
+  std::atomic<bool> scanned_to_end{false};
+  store.SetReadHook(rvm::LogFileName(1), [&](uint64_t, size_t got) {
+    if (got == 0) {
+      scanned_to_end = true;
+    }
+  });
+  base::Status trim_status;
+  std::atomic<bool> trimmed{false};
+  std::thread trim([&] {
+    trim_status = r->TrimLogWithBaselines({{kLock, 1}});
+    trimmed = true;
+  });
+  const bool reached_end = WaitFor([&] { return scanned_to_end.load(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const bool trimmed_early = trimmed;
+  trim_latch.Release();
+  trim.join();
+  a.join();
+  store.SetReadHook("", nullptr);
+  store.SetWriteHook("", nullptr);
+  EXPECT_TRUE(reached_end) << "the trim never scanned the log";
+  EXPECT_FALSE(trimmed_early) << "the trim swapped while an append was in flight";
+  ASSERT_TRUE(trim_status.ok()) << trim_status.ToString();
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  auto kept = *rvm::ReadLogTransactions(&mem, rvm::LogFileName(1));
+  ASSERT_EQ(1u, kept.size()) << "the trim lost A's record or kept the checkpointed one";
+  EXPECT_EQ(0u, kept[0].ranges[0].offset);
+  EXPECT_EQ(log_file_size(), r->log_bytes());
+
+  mem.Crash();
+  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&mem, {rvm::LogFileName(1)}).ok());
+  auto r2 = std::move(*rvm::Rvm::Open(&mem, 2, rvm::RvmOptions{}));
+  rvm::Region* region2 = *r2->MapRegion(kRegion, 4096);
+  EXPECT_EQ(0xA1, region2->data()[0]);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Log record encoding and framed log I/O, including torn-tail handling.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "src/base/crc32.h"
 #include "src/base/rng.h"
 #include "src/rvm/log_format.h"
 #include "src/rvm/log_io.h"
@@ -80,8 +83,10 @@ TEST(LogIo, WriteReadMultipleRecords) {
   rvm::LogWriter writer(std::move(file));
   for (uint64_t i = 0; i < 10; ++i) {
     auto payload = rvm::EncodeTransaction(MakeRecord(i));
-    ASSERT_TRUE(
-        writer.Append(base::ByteSpan(payload.data(), payload.size()), i % 2 == 0).ok());
+    ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size())).ok());
+    if (i % 2 == 0) {
+      ASSERT_TRUE(writer.Sync().ok());
+    }
   }
   EXPECT_EQ(10u, writer.records_written());
 
@@ -102,30 +107,47 @@ TEST(LogIo, WriteReadMultipleRecords) {
   EXPECT_FALSE(reader.tail_was_torn());
 }
 
-TEST(LogIo, GatherAppendEqualsContiguous) {
+TEST(LogIo, AppendAndAppendBatchWriteTheEncodedFrames) {
+  // Every writer path frames through EncodeFrames: record-at-a-time
+  // Appends, one AppendBatch and the encoder itself yield the same bytes,
+  // and the first frame's header is magic | length | crc32c(payload).
   store::MemStore store;
-  auto payload = rvm::EncodeTransaction(MakeRecord(3));
-  {
-    auto f = std::move(*store.Open("a", true));
-    rvm::LogWriter w(std::move(f));
-    ASSERT_TRUE(w.Append(base::ByteSpan(payload.data(), payload.size()), true).ok());
+  std::vector<std::vector<uint8_t>> records;
+  std::vector<base::ByteSpan> payloads;
+  for (uint64_t i = 0; i < 3; ++i) {
+    records.push_back(rvm::EncodeTransaction(MakeRecord(i)));
+  }
+  for (const auto& r : records) {
+    payloads.push_back(base::ByteSpan(r.data(), r.size()));
   }
   {
-    auto f = std::move(*store.Open("b", true));
-    rvm::LogWriter w(std::move(f));
-    std::vector<base::ByteSpan> parts;
-    parts.push_back(base::ByteSpan(payload.data(), 5));
-    parts.push_back(base::ByteSpan(payload.data() + 5, 11));
-    parts.push_back(base::ByteSpan(payload.data() + 16, payload.size() - 16));
-    ASSERT_TRUE(w.Append(parts, true).ok());
+    rvm::LogWriter w(std::move(*store.Open("a", true)));
+    for (const auto& p : payloads) {
+      ASSERT_TRUE(w.Append(p).ok());
+    }
+    EXPECT_EQ(3u, w.records_written());
   }
+  {
+    rvm::LogWriter w(std::move(*store.Open("b", true)));
+    ASSERT_TRUE(w.AppendBatch(payloads).ok());
+    EXPECT_EQ(3u, w.records_written());
+  }
+  std::vector<uint8_t> encoded;
+  rvm::EncodeFrames(payloads, &encoded);
   auto fa = std::move(*store.Open("a", false));
   auto fb = std::move(*store.Open("b", false));
-  ASSERT_EQ(*fa->Size(), *fb->Size());
   std::vector<uint8_t> a(*fa->Size()), b(*fb->Size());
   ASSERT_TRUE(fa->ReadExact(0, a.data(), a.size()).ok());
   ASSERT_TRUE(fb->ReadExact(0, b.data(), b.size()).ok());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(encoded, a);
+  EXPECT_EQ(encoded, b);
+
+  uint32_t header[3];
+  ASSERT_GE(encoded.size(), sizeof(header));
+  std::memcpy(header, encoded.data(), sizeof(header));
+  EXPECT_EQ(rvm::kLogMagic, header[0]);
+  EXPECT_EQ(records[0].size(), header[1]);
+  EXPECT_EQ(base::Crc32c(records[0].data(), records[0].size()), header[2]);
 }
 
 // Property: cutting the log at ANY byte boundary yields a clean prefix of
@@ -140,7 +162,7 @@ TEST_P(TornTailTest, TruncatedLogReadsCleanPrefix) {
     rvm::LogWriter writer(std::move(file));
     for (uint64_t i = 0; i < 6; ++i) {
       auto payload = rvm::EncodeTransaction(MakeRecord(i));
-      ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size()), false).ok());
+      ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size())).ok());
       frame_ends.push_back(writer.bytes_written());
     }
     ASSERT_TRUE(writer.Sync().ok());
@@ -190,7 +212,8 @@ TEST(LogIo, CorruptedPayloadStopsRead) {
     auto file = std::move(*store.Open("log", true));
     rvm::LogWriter writer(std::move(file));
     auto payload = rvm::EncodeTransaction(MakeRecord(0));
-    ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size()), true).ok());
+    ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size())).ok());
+    ASSERT_TRUE(writer.Sync().ok());
   }
   {
     // Flip one payload byte: the CRC must catch it.
@@ -214,7 +237,8 @@ TEST(LogIo, ResetEmptiesLog) {
   auto file = std::move(*store.Open("log", true));
   rvm::LogWriter writer(std::move(file));
   auto payload = rvm::EncodeCheckpoint();
-  ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size()), true).ok());
+  ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size())).ok());
+  ASSERT_TRUE(writer.Sync().ok());
   ASSERT_TRUE(writer.Reset().ok());
   EXPECT_EQ(0u, writer.bytes_written());
   auto rfile = std::move(*store.Open("log", false));

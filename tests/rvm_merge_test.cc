@@ -144,8 +144,9 @@ TEST(LogMerge, WriteMergedLogIsReplayable) {
     rvm::LogWriter writer(std::move(file));
     for (const auto& t : txns) {
       auto payload = rvm::EncodeTransaction(t);
-      ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size()), true).ok());
+      ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size())).ok());
     }
+    ASSERT_TRUE(writer.Sync().ok());
   };
   write_log(1, {Txn(1, 1, {{5, 1}}, {{1, 0, {10}}}), Txn(1, 2, {{5, 3}}, {{1, 0, {30}}})});
   write_log(2, {Txn(2, 1, {{5, 2}}, {{1, 0, {20}}}), Txn(2, 2, {{5, 4}}, {{1, 0, {40}}})});
@@ -168,9 +169,10 @@ TEST(Recovery, CheckpointRecordResetsReplay) {
   auto t1 = rvm::EncodeTransaction(Txn(1, 1, {}, {{1, 0, {111}}}));
   auto ckpt = rvm::EncodeCheckpoint();
   auto t2 = rvm::EncodeTransaction(Txn(1, 2, {}, {{1, 1, {222}}}));
-  ASSERT_TRUE(writer.Append(base::ByteSpan(t1.data(), t1.size()), false).ok());
-  ASSERT_TRUE(writer.Append(base::ByteSpan(ckpt.data(), ckpt.size()), false).ok());
-  ASSERT_TRUE(writer.Append(base::ByteSpan(t2.data(), t2.size()), true).ok());
+  ASSERT_TRUE(writer.Append(base::ByteSpan(t1.data(), t1.size())).ok());
+  ASSERT_TRUE(writer.Append(base::ByteSpan(ckpt.data(), ckpt.size())).ok());
+  ASSERT_TRUE(writer.Append(base::ByteSpan(t2.data(), t2.size())).ok());
+  ASSERT_TRUE(writer.Sync().ok());
 
   auto txns = *rvm::ReadLogTransactions(&store, "log");
   ASSERT_EQ(1u, txns.size());
@@ -182,7 +184,8 @@ TEST(Recovery, ReplayIsIdempotent) {
   auto file = std::move(*store.Open(rvm::LogFileName(1), true));
   rvm::LogWriter writer(std::move(file));
   auto t1 = rvm::EncodeTransaction(Txn(1, 1, {}, {{1, 4, {7, 8, 9}}}));
-  ASSERT_TRUE(writer.Append(base::ByteSpan(t1.data(), t1.size()), true).ok());
+  ASSERT_TRUE(writer.Append(base::ByteSpan(t1.data(), t1.size())).ok());
+  ASSERT_TRUE(writer.Sync().ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&store, {rvm::LogFileName(1)}).ok());
   }
