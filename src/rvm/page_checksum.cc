@@ -98,45 +98,60 @@ base::Status ChecksumSidecar::EnsureHeader() {
   return base::OkStatus();
 }
 
-base::Result<std::optional<uint32_t>> ChecksumSidecar::ReadEntry(uint64_t page) {
-  if (!header_written_) {
-    return std::optional<uint32_t>();  // unreadable header: no believable entries
+base::Result<std::vector<std::optional<uint32_t>>> ChecksumSidecar::ReadEntries(uint64_t first,
+                                                                               uint64_t n) {
+  std::vector<std::optional<uint32_t>> entries(n);
+  // Past this page EntryOffset would wrap and alias a low entry; no real
+  // sidecar can hold such a page, so it verifies vacuously instead.
+  constexpr uint64_t kLastAddressablePage =
+      (UINT64_MAX - kChecksumHeaderSize) / kChecksumEntrySize;
+  if (!header_written_ || first > kLastAddressablePage) {
+    return entries;  // an unreadable header has no believable entries
   }
-  if (page > (UINT64_MAX - kChecksumHeaderSize) / kChecksumEntrySize) {
-    // EntryOffset would wrap and alias a low entry; no real sidecar can hold
-    // such a page, so it verifies vacuously instead.
-    return std::optional<uint32_t>();
+  const uint64_t count = std::min(n, kLastAddressablePage - first + 1);
+  std::vector<uint8_t> buf(count * kChecksumEntrySize);
+  ASSIGN_OR_RETURN(size_t got, file_->Read(EntryOffset(first), buf.data(), buf.size()));
+  for (uint64_t i = 0; i < got / kChecksumEntrySize; ++i) {
+    uint32_t crc, guard;
+    std::memcpy(&crc, buf.data() + i * kChecksumEntrySize, 4);
+    std::memcpy(&guard, buf.data() + i * kChecksumEntrySize + 4, 4);
+    if (guard == EntryGuard(first + i, crc)) {
+      entries[i] = crc;
+    }
   }
-  uint8_t entry[kChecksumEntrySize];
-  ASSIGN_OR_RETURN(size_t n, file_->Read(EntryOffset(page), entry, sizeof(entry)));
-  if (n < sizeof(entry)) {
-    return std::optional<uint32_t>();
-  }
-  uint32_t crc, guard;
-  std::memcpy(&crc, entry, 4);
-  std::memcpy(&guard, entry + 4, 4);
-  if (guard != EntryGuard(page, crc)) {
-    return std::optional<uint32_t>();
-  }
-  return std::optional<uint32_t>(crc);
+  return entries;
 }
 
-base::Status ChecksumSidecar::WriteEntry(uint64_t page, uint32_t crc) {
-  RETURN_IF_ERROR(StoreEntry(page, crc, EntryGuard(page, crc)));
-  GlobalIntegrityMetrics()->pages_checksummed->Increment();
+base::Status ChecksumSidecar::WriteEntries(uint64_t first, const std::vector<uint32_t>& crcs) {
+  RETURN_IF_ERROR(WriteRun(first, crcs.size(), crcs.data()));
+  GlobalIntegrityMetrics()->pages_checksummed->Add(crcs.size());
   return base::OkStatus();
 }
 
-base::Status ChecksumSidecar::ClearEntry(uint64_t page) {
-  return StoreEntry(page, 0, ~EntryGuard(page, 0));
+base::Status ChecksumSidecar::ClearEntries(uint64_t first, uint64_t n) {
+  return WriteRun(first, n, nullptr);
 }
 
-base::Status ChecksumSidecar::StoreEntry(uint64_t page, uint32_t crc, uint32_t guard) {
+base::Result<std::optional<uint32_t>> ChecksumSidecar::ReadEntry(uint64_t page) {
+  ASSIGN_OR_RETURN(auto entries, ReadEntries(page, 1));
+  return entries[0];
+}
+
+base::Status ChecksumSidecar::WriteEntry(uint64_t page, uint32_t crc) {
+  return WriteEntries(page, {crc});
+}
+
+base::Status ChecksumSidecar::WriteRun(uint64_t first, uint64_t n, const uint32_t* crcs) {
   RETURN_IF_ERROR(EnsureHeader());
-  uint8_t entry[kChecksumEntrySize];
-  std::memcpy(entry, &crc, 4);
-  std::memcpy(entry + 4, &guard, 4);
-  return file_->Write(EntryOffset(page), base::ByteSpan(entry, sizeof(entry)));
+  std::vector<uint8_t> buf(n * kChecksumEntrySize);
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t page = first + i;
+    const uint32_t crc = crcs != nullptr ? crcs[i] : 0;
+    const uint32_t guard = crcs != nullptr ? EntryGuard(page, crc) : ~EntryGuard(page, 0);
+    std::memcpy(buf.data() + i * kChecksumEntrySize, &crc, 4);
+    std::memcpy(buf.data() + i * kChecksumEntrySize + 4, &guard, 4);
+  }
+  return file_->Write(EntryOffset(first), base::ByteSpan(buf.data(), buf.size()));
 }
 
 base::Status ChecksumSidecar::Sync() { return file_->Sync(); }
@@ -148,12 +163,14 @@ base::Status RewriteRegionChecksums(store::DurableStore* store, RegionId region)
     return base::OkStatus();
   }
   ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store, region, /*create=*/true));
-  std::vector<uint8_t> buf(kDbPageSize);
+  std::vector<uint8_t> data(file_size);
+  RETURN_IF_ERROR(db->ReadExact(0, data.data(), data.size()));
+  std::vector<uint32_t> crcs;
   for (uint64_t offset = 0; offset < file_size; offset += kDbPageSize) {
-    size_t want = static_cast<size_t>(std::min<uint64_t>(kDbPageSize, file_size - offset));
-    RETURN_IF_ERROR(db->ReadExact(offset, buf.data(), want));
-    RETURN_IF_ERROR(sidecar->WriteEntry(offset / kDbPageSize, PageCrc(buf.data(), want)));
+    size_t len = static_cast<size_t>(std::min<uint64_t>(kDbPageSize, file_size - offset));
+    crcs.push_back(PageCrc(data.data() + offset, len));
   }
+  RETURN_IF_ERROR(sidecar->WriteEntries(0, crcs));
   return sidecar->Sync();
 }
 
@@ -189,9 +206,10 @@ base::Result<std::vector<uint64_t>> VerifyImagePages(store::DurableStore* store,
     }
     return sidecar_or.status();
   }
-  std::unique_ptr<ChecksumSidecar> sidecar = std::move(*sidecar_or);
+  ASSIGN_OR_RETURN(auto entries,
+                   (*sidecar_or)->ReadEntries(0, check_pages + (boundary ? 1 : 0)));
   for (uint64_t page = 0; page < check_pages; ++page) {
-    ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
+    const std::optional<uint32_t>& entry = entries[page];
     if (!entry.has_value()) {
       m->pages_unverified->Increment();
       continue;
@@ -207,7 +225,7 @@ base::Result<std::vector<uint64_t>> VerifyImagePages(store::DurableStore* store,
   }
   if (boundary) {
     const uint64_t page = check_pages;  // == len / kDbPageSize
-    ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
+    const std::optional<uint32_t>& entry = entries[page];
     if (!entry.has_value()) {
       m->pages_unverified->Increment();
     } else {

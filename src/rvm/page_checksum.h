@@ -74,12 +74,21 @@ class ChecksumSidecar {
   static base::Result<std::unique_ptr<ChecksumSidecar>> Open(
       store::DurableStore* store, RegionId region, bool create);
 
-  // The stored checksum of `page`, or nullopt if absent/unreadable.
+  // The run forms: each touches the entries of pages [first, first + n)
+  // with one device op.
+  //
+  // The stored checksum of each page, or nullopt if absent/unreadable.
+  base::Result<std::vector<std::optional<uint32_t>>> ReadEntries(uint64_t first, uint64_t n);
+  // Records crcs[i] as the checksum of page first + i.
+  base::Status WriteEntries(uint64_t first, const std::vector<uint32_t>& crcs);
+  // Overwrites each entry with one whose guard never verifies, so the page
+  // reads as "no entry" until its next write.
+  base::Status ClearEntries(uint64_t first, uint64_t n);
+
+  // One-page forms of the above.
   base::Result<std::optional<uint32_t>> ReadEntry(uint64_t page);
   base::Status WriteEntry(uint64_t page, uint32_t crc);
-  // Overwrites `page`'s entry with one whose guard never verifies, so the
-  // page reads as "no entry" until the next WriteEntry.
-  base::Status ClearEntry(uint64_t page);
+
   base::Status Sync();
 
  private:
@@ -87,7 +96,9 @@ class ChecksumSidecar {
       : file_(std::move(file)) {}
 
   base::Status EnsureHeader();
-  base::Status StoreEntry(uint64_t page, uint32_t crc, uint32_t guard);
+  // Writes the entries of pages [first, first + n): crcs[i] and its guard,
+  // or a cleared entry for every page when crcs is null.
+  base::Status WriteRun(uint64_t first, uint64_t n, const uint32_t* crcs);
 
   std::unique_ptr<store::DurableFile> file_;
   bool header_written_ = false;

@@ -32,6 +32,28 @@ RecoveryMetrics* GlobalRecoveryMetrics() {
   return metrics;
 }
 
+// Reads `len` bytes at `offset` into *out, as zeros past end of file and
+// only there: inside the file a short read is an error, not zeros.
+base::Status ReadZeroPadded(store::DurableFile* file, uint64_t offset, size_t len,
+                            std::vector<uint8_t>* out) {
+  out->assign(len, 0);
+  ASSIGN_OR_RETURN(uint64_t file_size, file->Size());
+  if (offset < file_size) {
+    RETURN_IF_ERROR(
+        file->ReadExact(offset, out->data(), std::min<uint64_t>(len, file_size - offset)));
+  }
+  return base::OkStatus();
+}
+
+// The CRC of each kDbPageSize page of a run's image.
+std::vector<uint32_t> PageCrcs(const std::vector<uint8_t>& image) {
+  std::vector<uint32_t> crcs;
+  for (size_t offset = 0; offset < image.size(); offset += kDbPageSize) {
+    crcs.push_back(PageCrc(image.data() + offset, kDbPageSize));
+  }
+  return crcs;
+}
+
 }  // namespace
 
 base::Result<std::vector<TransactionRecord>> ReadLogTransactions(store::DurableStore* store,
@@ -77,47 +99,73 @@ ReplayWriteSet::ReplayWriteSet(store::DurableStore* store, ReplayOptions options
     : store_(store), options_(std::move(options)) {}
 
 base::Status ReplayWriteSet::Apply(const RangeImage& range) {
-  auto it = files_.find(range.region);
-  if (it == files_.end()) {
+  if (files_.find(range.region) == files_.end()) {
     ASSIGN_OR_RETURN(auto file, store_->Open(RegionFileName(range.region), /*create=*/true));
-    it = files_.emplace(range.region, std::move(file)).first;
+    files_.emplace(range.region, std::move(file));
   }
   if (range.data.empty()) {
     return base::OkStatus();
   }
   uint64_t first_page = range.offset / kDbPageSize;
   uint64_t last_page = (range.offset + range.data.size() - 1) / kDbPageSize;
+  bool marked = false;
   for (uint64_t page = first_page; page <= last_page; ++page) {
-    if (options_.page_filter && !options_.page_filter(range.region, page)) {
-      continue;
+    if (!options_.page_filter || options_.page_filter(range.region, page)) {
+      marked_.emplace(range.region, page);
+      marked = true;
     }
-    auto key = std::make_pair(range.region, page);
-    auto page_it = pages_.find(key);
-    if (page_it == pages_.end()) {
-      PageBuild build;
-      build.image.assign(kDbPageSize, 0);
-      ASSIGN_OR_RETURN(auto n, it->second->Read(page * kDbPageSize, build.image.data(),
-                                                build.image.size()));
-      (void)n;  // short read past EOF leaves zeros, matching file growth
-      if (options_.verify_preimages) {
-        build.preimage = build.image;
-        build.covered.assign(kDbPageSize, 0);
-      }
-      page_it = pages_.emplace(key, std::move(build)).first;
-    }
-    uint64_t page_start = page * kDbPageSize;
-    uint64_t lo = std::max(range.offset, page_start);
-    uint64_t hi = std::min(range.offset + range.data.size(), page_start + kDbPageSize);
-    std::memcpy(page_it->second.image.data() + (lo - page_start),
-                range.data.data() + (lo - range.offset), hi - lo);
+  }
+  if (marked) {
+    staged_.push_back(&range);
+  }
+  return base::OkStatus();
+}
+
+base::Status ReplayWriteSet::Load() {
+  for (auto it = marked_.begin(); it != marked_.end();) {
+    Run& run = runs_.emplace_back();
+    run.region = it->first;
+    run.first_page = it->second;
+    do {
+      ++run.pages;
+      ++it;
+    } while (it != marked_.end() &&
+             *it == std::make_pair(run.region, run.first_page + run.pages));
+    // Past end of file the pre-image is zeros, matching file growth.
+    RETURN_IF_ERROR(ReadZeroPadded(files_[run.region].get(), run.first_page * kDbPageSize,
+                                   run.pages * kDbPageSize, &run.image));
     if (options_.verify_preimages) {
-      std::memset(page_it->second.covered.data() + (lo - page_start), 1, hi - lo);
+      run.pre_crcs = PageCrcs(run.image);
+      run.covered.assign(run.image.size(), 0);
+    }
+  }
+  for (const RangeImage* range : staged_) {
+    const uint64_t end = range->offset + range->data.size();
+    // The first run of the range's region that ends at or after its first
+    // page; the runs it overlaps follow in order.
+    auto run = std::lower_bound(
+        runs_.begin(), runs_.end(), std::make_pair(range->region, range->offset / kDbPageSize),
+        [](const Run& r, const std::pair<RegionId, uint64_t>& key) {
+          return std::make_pair(r.region, r.first_page + r.pages - 1) < key;
+        });
+    for (; run != runs_.end() && run->region == range->region &&
+           run->first_page * kDbPageSize < end;
+         ++run) {
+      const uint64_t run_start = run->first_page * kDbPageSize;
+      const uint64_t lo = std::max(range->offset, run_start);
+      const uint64_t hi = std::min<uint64_t>(end, run_start + run->image.size());
+      std::memcpy(run->image.data() + (lo - run_start), range->data.data() + (lo - range->offset),
+                  hi - lo);
+      if (options_.verify_preimages) {
+        std::memset(run->covered.data() + (lo - run_start), 1, hi - lo);
+      }
     }
   }
   return base::OkStatus();
 }
 
 base::Status ReplayWriteSet::Commit() {
+  RETURN_IF_ERROR(Load());
   std::map<RegionId, std::unique_ptr<ChecksumSidecar>> sidecars;
   auto sidecar_for = [&](RegionId region) -> base::Result<ChecksumSidecar*> {
     auto it = sidecars.find(region);
@@ -127,14 +175,13 @@ base::Status ReplayWriteSet::Commit() {
     }
     return it->second.get();
   };
-  // Writes every accumulated page's entry — its final-image CRC, or a
-  // cleared entry — and syncs the sidecars.
+  // Writes every run's entries — its pages' final-image CRCs, or cleared
+  // entries — and syncs the sidecars.
   auto write_entries = [&](bool clear) -> base::Status {
-    for (const auto& [key, build] : pages_) {
-      ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(key.first));
-      RETURN_IF_ERROR(clear ? sidecar->ClearEntry(key.second)
-                            : sidecar->WriteEntry(key.second, PageCrc(build.image.data(),
-                                                                      build.image.size())));
+    for (const Run& run : runs_) {
+      ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(run.region));
+      RETURN_IF_ERROR(clear ? sidecar->ClearEntries(run.first_page, run.pages)
+                            : sidecar->WriteEntries(run.first_page, PageCrcs(run.image)));
     }
     for (auto& [region, sidecar] : sidecars) {
       RETURN_IF_ERROR(sidecar->Sync());
@@ -144,22 +191,25 @@ base::Status ReplayWriteSet::Commit() {
   if (options_.verify_preimages) {
     // Rot gate: check every pre-image against its sidecar entry before
     // mutating anything, so a DATA_LOSS leaves the store untouched.
-    for (const auto& [key, build] : pages_) {
-      const auto& [region, page] = key;
-      ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(region));
-      ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
-      bool fully_covered =
-          std::find(build.covered.begin(), build.covered.end(), 0) == build.covered.end();
-      if (!entry.has_value()) {
-        GlobalIntegrityMetrics()->pages_unverified->Increment();
-      } else if (*entry == PageCrc(build.preimage.data(), build.preimage.size())) {
-        GlobalIntegrityMetrics()->pages_verified->Increment();
-      } else if (!fully_covered) {
-        // A fully covered page's rotten pre-image is irrelevant: redo
-        // overwrites every byte. Anything else is rot.
-        GlobalIntegrityMetrics()->verify_failures->Increment();
-        return base::DataLoss("pre-image failed sidecar verification before replay: region " +
-                              std::to_string(region) + " page " + std::to_string(page));
+    for (const Run& run : runs_) {
+      ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(run.region));
+      ASSIGN_OR_RETURN(auto entries, sidecar->ReadEntries(run.first_page, run.pages));
+      for (uint64_t i = 0; i < run.pages; ++i) {
+        const uint8_t* covered = run.covered.data() + i * kDbPageSize;
+        bool fully_covered =
+            std::find(covered, covered + kDbPageSize, 0) == covered + kDbPageSize;
+        if (!entries[i].has_value()) {
+          GlobalIntegrityMetrics()->pages_unverified->Increment();
+        } else if (*entries[i] == run.pre_crcs[i]) {
+          GlobalIntegrityMetrics()->pages_verified->Increment();
+        } else if (!fully_covered) {
+          // A fully covered page's rotten pre-image is irrelevant: redo
+          // overwrites every byte. Anything else is rot.
+          GlobalIntegrityMetrics()->verify_failures->Increment();
+          return base::DataLoss("pre-image failed sidecar verification before replay: region " +
+                                std::to_string(run.region) + " page " +
+                                std::to_string(run.first_page + i));
+        }
       }
     }
   }
@@ -168,36 +218,31 @@ base::Status ReplayWriteSet::Commit() {
   // under old checksums — which the next boot's gated replay would read as
   // rot — nor a certified image that newer redo has since moved past.
   RETURN_IF_ERROR(write_entries(/*clear=*/true));
-  for (auto& [key, build] : pages_) {
-    const auto& [region, page] = key;
-    RETURN_IF_ERROR(files_[region]->Write(
-        page * kDbPageSize, base::ByteSpan(build.image.data(), build.image.size())));
+  for (const Run& run : runs_) {
+    RETURN_IF_ERROR(files_[run.region]->Write(run.first_page * kDbPageSize,
+                                              base::ByteSpan(run.image.data(), run.image.size())));
   }
-  // Sync every opened file — even ones with no accumulated pages, so full
+  // Sync every opened file — even ones with no marked pages, so full
   // replay keeps its "database durable before log truncation" guarantee for
   // regions touched only by empty ranges.
   for (auto& [region, file] : files_) {
     RETURN_IF_ERROR(file->Sync());
   }
   // Read-back verification of every replayed page.
-  std::vector<uint8_t> readback(kDbPageSize);
-  for (const auto& [key, build] : pages_) {
-    const auto& [region, page] = key;
-    auto& file = files_[region];
-    ASSIGN_OR_RETURN(uint64_t file_size, file->Size());
-    uint64_t offset = page * kDbPageSize;
-    size_t want = static_cast<size_t>(
-        offset < file_size ? std::min<uint64_t>(kDbPageSize, file_size - offset) : 0);
-    std::fill(readback.begin(), readback.end(), 0);
-    if (want > 0) {
-      RETURN_IF_ERROR(file->ReadExact(offset, readback.data(), want));
+  std::vector<uint8_t> readback;
+  for (const Run& run : runs_) {
+    RETURN_IF_ERROR(ReadZeroPadded(files_[run.region].get(), run.first_page * kDbPageSize,
+                                   run.image.size(), &readback));
+    for (uint64_t i = 0; i < run.pages; ++i) {
+      if (std::memcmp(readback.data() + i * kDbPageSize, run.image.data() + i * kDbPageSize,
+                      kDbPageSize) != 0) {
+        GlobalIntegrityMetrics()->verify_failures->Increment();
+        return base::DataLoss("replayed page failed read-back verification: region " +
+                              std::to_string(run.region) + " page " +
+                              std::to_string(run.first_page + i));
+      }
+      GlobalIntegrityMetrics()->pages_verified->Increment();
     }
-    if (std::memcmp(readback.data(), build.image.data(), kDbPageSize) != 0) {
-      GlobalIntegrityMetrics()->verify_failures->Increment();
-      return base::DataLoss("replayed page failed read-back verification: region " +
-                            std::to_string(region) + " page " + std::to_string(page));
-    }
-    GlobalIntegrityMetrics()->pages_verified->Increment();
   }
   // The entries come straight from the images the read-back just verified.
   return write_entries(/*clear=*/false);

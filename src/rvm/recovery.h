@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,32 +33,38 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
 // (ApplyToDatabase), recovery's per-region page replay (replay_on_demand.h),
 // and the standby checkpoint's image write (lbc::CheckpointFromStandby).
 //
-// Apply() accumulates redo ranges page by page (pre-image read from the
-// database file, zero-padded past EOF, then overwritten by the ranges in
-// call order). Commit() performs all store mutations in one order: clear
-// the touched pages' sidecar entries and sync, write and sync the pages,
-// read every page back and verify it against the accumulated image, then
-// write the entries from those verified images and sync — so the
-// CRC/sidecar logic exists exactly once. A power cut anywhere in between
-// leaves entries that are either cleared (the page verifies vacuously) or
-// describe bytes already durable; never old checksums over new bytes, nor
-// a checksum of an image the data never reached.
+// Apply() only stages a redo range and marks the pages it touches; it reads
+// and writes nothing. Commit() groups the marked pages into runs — maximal
+// stretches of consecutive marked pages of one region — and issues one
+// device op per run at each stage, in one order for every caller:
+//   1. read the run's pre-image (zero-filled past end of file, and only
+//      there), then apply the staged ranges in call order;
+//   2. (verify_preimages) read the run's sidecar entries, check each page;
+//   3. clear the run's entries, then sync the sidecars;
+//   4. write the run's image, then sync every opened database file;
+//   5. read the run back and verify each page against its image;
+//   6. write the run's entries from those verified images, then sync the
+//      sidecars.
+// So the CRC/sidecar logic exists exactly once. A power cut anywhere in
+// between leaves entries that are either cleared (the page verifies
+// vacuously) or describe bytes already durable; never old checksums over
+// new bytes, nor a checksum of an image the data never reached.
 //
 // Options:
 //   page_filter      When set, only pages for which it returns true are
-//                    accumulated and written (a recovery batch's claimed
-//                    pages).
-//   verify_preimages Recovery's rot gate. Before any mutation, each
-//                    accumulated page's pre-image is checked against its
-//                    existing sidecar entry. A mismatch is accepted only
-//                    when the pending redo covers the whole page, in which
-//                    case the pre-image is irrelevant. Any other mismatch
-//                    is genuine rot under partially-covering redo: Commit
-//                    fails with DATA_LOSS before writing a byte, so the
-//                    caller routes the page through the Scrubber instead of
-//                    laundering the rot into a freshly certified page. An
-//                    interrupted earlier replay of the same page is never
-//                    mistaken for rot: it left the entry cleared.
+//                    marked and written (a recovery batch's claimed pages),
+//                    so a run never spans a page the filter rejects.
+//   verify_preimages Recovery's rot gate. Before any mutation, each marked
+//                    page's pre-image is checked against its existing
+//                    sidecar entry. A mismatch is accepted only when the
+//                    pending redo covers the whole page, in which case the
+//                    pre-image is irrelevant. Any other mismatch is genuine
+//                    rot under partially-covering redo: Commit fails with
+//                    DATA_LOSS before writing a byte, so the caller routes
+//                    the page through the Scrubber instead of laundering the
+//                    rot into a freshly certified page. An interrupted
+//                    earlier replay of the same page is never mistaken for
+//                    rot: it left the entry cleared.
 struct ReplayOptions {
   std::function<bool(RegionId, uint64_t)> page_filter;
   bool verify_preimages = false;
@@ -67,26 +74,37 @@ class ReplayWriteSet {
  public:
   explicit ReplayWriteSet(store::DurableStore* store, ReplayOptions options = {});
 
-  // Accumulates one redo range (reads pre-images as needed; no writes).
+  // Stages one redo range and marks its pages (opens the region's database
+  // file; no reads or writes). The range is kept by reference: it must stay
+  // alive and unchanged until Commit() returns.
   base::Status Apply(const RangeImage& range);
-  // Writes, syncs, read-back-verifies, and checksums every accumulated
-  // page. The sidecar entries are cleared and synced BEFORE the data, so a
-  // crash mid-write leaves pages that verify vacuously.
+  base::Status Apply(RangeImage&& range) = delete;
+  // Loads, writes, syncs, read-back-verifies, and checksums every marked
+  // page, run by run. The sidecar entries are cleared and synced BEFORE the
+  // data, so a crash mid-write leaves pages that verify vacuously.
   base::Status Commit();
 
-  uint64_t pages_touched() const { return pages_.size(); }
-
  private:
-  struct PageBuild {
+  // A maximal stretch of consecutive marked pages of one region.
+  struct Run {
+    RegionId region = 0;
+    uint64_t first_page = 0;
+    uint64_t pages = 0;
     std::vector<uint8_t> image;      // pre-image + redo, zero-padded
-    std::vector<uint8_t> preimage;   // as first read (verify_preimages only)
+    std::vector<uint32_t> pre_crcs;  // per-page pre-image CRC (verify mode)
     std::vector<uint8_t> covered;    // per-byte redo coverage (verify mode)
   };
+
+  // Groups the marked pages into runs_, reads each run's pre-image with one
+  // read, and applies the staged ranges in call order.
+  base::Status Load();
 
   store::DurableStore* store_;
   ReplayOptions options_;
   std::map<RegionId, std::unique_ptr<store::DurableFile>> files_;
-  std::map<std::pair<RegionId, uint64_t>, PageBuild> pages_;
+  std::vector<const RangeImage*> staged_;
+  std::set<std::pair<RegionId, uint64_t>> marked_;
+  std::vector<Run> runs_;  // ordered by (region, first_page)
 };
 
 // Applies transactions, in the given order, to the region database files.

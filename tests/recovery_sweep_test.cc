@@ -29,11 +29,19 @@
 //   7. A checkpoint trim whose locked tail scan meets a commit's append in
 //      flight (written with no lock held), cut before every store op of
 //      the trim and of that commit: recovery drains to the committed prefix.
+//   8. Multi-page runs: a six-page region with redo on pages {0,1,2} and
+//      {5}, so replay issues multi-page ops. Power is cut before every
+//      mutating op of the recovery drain and of the standby checkpoint's
+//      image write, untorn and torn — one tear lands inside a multi-page
+//      data write, across a page boundary. Every cut leaves each page's
+//      entry cleared or verifying, and recovery drains to the committed
+//      image.
 //
 // Budget/seed are env-tunable like crash_explorer_test: LBC_CRASH_BUDGET
 // (0 = exhaustive) and LBC_CRASH_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -680,6 +688,153 @@ TEST(RecoverySweep, TrimWithAppendInFlightRecoversCommittedPrefix) {
   // The in-flight commit's write, then the temp file's create, truncate,
   // write and sync, the rename and the directory sync.
   EXPECT_GT(cut, 7u);
+}
+
+// --- multi-page runs --------------------------------------------------------
+
+constexpr rvm::RegionId kRunRegion = 3;
+constexpr uint64_t kRunRegionSize = 6 * rvm::kDbPageSize;
+constexpr rvm::LockId kRunLock = 303;
+
+// Redo on pages {0,1,2} and {5}: two runs, and no page fully covered, so
+// the rot gate checks every pre-image. Page 1 keeps its pre-image at
+// [kDbPageSize / 2, kDbPageSize / 2 + 64).
+struct RunRedo {
+  uint64_t offset;
+  uint64_t len;
+  uint8_t fill;
+};
+constexpr RunRedo kRunRedo[] = {
+    {rvm::kDbPageSize / 2, rvm::kDbPageSize, 0xA1},                          // pages 0-1
+    {rvm::kDbPageSize + rvm::kDbPageSize / 2 + 64, rvm::kDbPageSize, 0xC3},  // pages 1-2
+    {5 * rvm::kDbPageSize + 100, 200, 0xB2},                                 // page 5
+};
+
+RegionBytes ReadWholeFile(store::DurableStore* s, rvm::RegionId id) {
+  auto file = std::move(*s->Open(rvm::RegionFileName(id), /*create=*/false));
+  RegionBytes out(*file->Size());
+  EXPECT_TRUE(file->ReadExact(0, out.data(), out.size()).ok());
+  return out;
+}
+
+// A certified base (every byte 0x11, its record trimmed: the database and
+// its sidecar are the only copy), then kRunRedo committed to the log alone.
+// Sets *committed to the image every committed record adds up to.
+base::Status BuildRunHistory(store::DurableStore* s, RegionBytes* committed) {
+  committed->assign(kRunRegionSize, 0x11);
+  ASSIGN_OR_RETURN(auto node, rvm::Rvm::Open(s, 1, rvm::RvmOptions{}));
+  ASSIGN_OR_RETURN(rvm::Region * region, node->MapRegion(kRunRegion, kRunRegionSize));
+  auto commit = [&](uint64_t offset, uint64_t len, uint8_t fill, uint64_t seq) {
+    rvm::TxnId txn = node->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    RETURN_IF_ERROR(node->SetRange(txn, kRunRegion, offset, len));
+    std::memset(region->data() + offset, fill, len);
+    RETURN_IF_ERROR(node->SetLockId(txn, kRunLock, seq));
+    RETURN_IF_ERROR(node->EndTransaction(txn, rvm::CommitMode::kFlush));
+    std::memset(committed->data() + offset, fill, len);
+    return base::OkStatus();
+  };
+  RETURN_IF_ERROR(commit(0, kRunRegionSize, 0x11, 1));
+  RETURN_IF_ERROR(rvm::ReplayLogsIntoDatabase(s, {rvm::LogFileName(1)}));
+  RETURN_IF_ERROR(node->TrimLogWithBaselines({{kRunLock, 1}}));
+  uint64_t seq = 2;
+  for (const RunRedo& redo : kRunRedo) {
+    RETURN_IF_ERROR(commit(redo.offset, redo.len, redo.fill, seq++));
+  }
+  return base::OkStatus();
+}
+
+// Index build and gated replay of the run region (a first touch).
+base::Status MaterializeRunRegion(store::DurableStore* s) {
+  ASSIGN_OR_RETURN(rvm::LogIndex index, rvm::LogIndex::Build(s, {rvm::LogFileName(1)}));
+  rvm::IncrementalRecovery recovery(s, std::move(index));
+  return recovery.MaterializeRegion(kRunRegion);
+}
+
+// The standby checkpoint's image write, as lbc::CheckpointFromStandby
+// issues it: the standby's whole image as one offset-zero range through the
+// shared replay core, with the logs still untrimmed.
+base::Status WriteStandbyImage(store::DurableStore* s, const RegionBytes& image) {
+  rvm::RangeImage range;
+  range.region = kRunRegion;
+  range.data = image;
+  rvm::ReplayWriteSet writes(s);
+  RETURN_IF_ERROR(writes.Apply(range));
+  return writes.Commit();
+}
+
+// The disk holds page 0 of `target` and a prefix of its page 1, but not
+// the whole of page 1: a write tore across the page 0/1 boundary.
+bool TornAcrossFirstPageBoundary(const RegionBytes& disk, const RegionBytes& target) {
+  const auto page = [](const RegionBytes& bytes, uint64_t n) {
+    return bytes.begin() + static_cast<std::ptrdiff_t>(n * rvm::kDbPageSize);
+  };
+  return std::equal(page(disk, 0), page(disk, 1), page(target, 0)) &&
+         std::equal(page(disk, 1), page(disk, 1) + 5, page(target, 1)) &&
+         !std::equal(page(disk, 1), page(disk, 2), page(target, 1));
+}
+
+TEST(RecoverySweep, MultiPageRunCutsLeaveEntriesClearedOrVerifying) {
+  enum class Phase { kDrain, kStandbyImageWrite };
+  for (Phase phase : {Phase::kDrain, Phase::kStandbyImageWrite}) {
+    const char* name = phase == Phase::kDrain ? "drain" : "standby image write";
+    bool completed = false;
+    bool torn_across_pages = false;
+    uint64_t schedules = 0;
+    uint64_t cut = 0;
+    for (; !completed; ++cut) {
+      for (size_t torn : {size_t{0}, size_t{5}, size_t{rvm::kDbPageSize + 5}}) {
+        const std::string at = std::string(name) + ": cut before op " + std::to_string(cut) +
+                               " (torn " + std::to_string(torn) + ")";
+        store::MemStore mem;
+        store::CrashPointStore store(&mem);
+        store.SetCrashHook([&mem] { mem.Crash(0); });
+        RegionBytes committed;
+        ASSERT_TRUE(BuildRunHistory(&store, &committed).ok());
+        base::Status finished;
+        if (phase == Phase::kDrain) {
+          mem.Crash(0);  // the server reboots; every record is durable
+          auto index = rvm::LogIndex::Build(&store, {rvm::LogFileName(1)});
+          ASSERT_TRUE(index.ok());
+          rvm::IncrementalRecovery recovery(&store, std::move(*index));
+          store.ResetOpCount();
+          store.ArmCrashAtOp(cut, torn);
+          finished = recovery.MaterializeRegion(kRunRegion);
+        } else {
+          store.ResetOpCount();
+          store.ArmCrashAtOp(cut, torn);
+          finished = WriteStandbyImage(&store, committed);
+        }
+        completed = finished.ok();
+        ++schedules;
+        store.Disarm();
+        mem.Crash(0);
+
+        // What the cut left: no page's entry certifies bytes it does not
+        // hold — each is cleared or verifies.
+        ASSERT_TRUE(VerifyRegionPages(&store, kRunRegion).ok()) << at;
+        if (torn > rvm::kDbPageSize &&
+            TornAcrossFirstPageBoundary(ReadWholeFile(&store, kRunRegion), committed)) {
+          torn_across_pages = true;
+        }
+
+        base::Status drained = MaterializeRunRegion(&store);
+        ASSERT_TRUE(drained.ok()) << at << ": " << drained.ToString();
+        EXPECT_EQ(committed, ReadWholeFile(&store, kRunRegion)) << at;
+        ASSERT_TRUE(VerifyRegionPages(&store, kRunRegion).ok()) << at;
+        if (phase == Phase::kDrain) {
+          ExpectSidecarMatchesRewrite(&store, kRunRegion);
+        }
+      }
+    }
+    const uint64_t ops = cut - 1;
+    std::printf("multi-page run sweep, %s: %llu mutating ops, %llu schedules\n", name,
+                static_cast<unsigned long long>(ops),
+                static_cast<unsigned long long>(schedules));
+    EXPECT_TRUE(torn_across_pages) << name << ": no tear crossed a page boundary";
+    // One op per run at each stage, each stage then synced: the drain has
+    // two runs, the whole-image write one.
+    EXPECT_EQ(phase == Phase::kDrain ? 9u : 6u, ops) << name;
+  }
 }
 
 }  // namespace
