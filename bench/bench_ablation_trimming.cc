@@ -1,7 +1,7 @@
 // Ablation: what log maintenance costs the writers.
 //
-//   offline   — RecoverAndTrim with clients stopped (the prototype's §3.5)
-//   online    — lbc::OnlineTrim: quiesce via the segment locks, trim, resume
+//   online    — lbc::OnlineTrim: quiesce via the segment locks, merge+replay,
+//               release, then trim
 //   standby   — lbc::CheckpointFromStandby: no quiesce at all
 //
 // A writer commits continuously while maintenance runs; we report the
@@ -96,8 +96,9 @@ int main() {
                 static_cast<unsigned long long>(run.commits));
   }
   std::printf("\nOnlineTrim quiesces writers for the merge+replay window (the worst\n"
-              "gap tracks maintenance time); the standby checkpoint never takes the\n"
-              "lock — its residual gap is CPU contention with the checkpoint work,\n"
-              "not blocking (run on a multi-core host to see it approach baseline).\n");
+              "gap tracks it; the trims run after the release); the standby\n"
+              "checkpoint never takes the lock — its residual gap is CPU contention\n"
+              "with the checkpoint work, not blocking (run on a multi-core host to\n"
+              "see it approach baseline).\n");
   return 0;
 }

@@ -133,11 +133,13 @@ if [[ "$run_tsan" == 1 ]]; then
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
     netsim_reliable_wakeup_test obs_metrics_test \
     lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-    lbc_standby_test lbc_random_workload_test base_sync_test
+    lbc_standby_test lbc_random_workload_test lbc_extensions_test \
+    base_sync_test
   for t in netsim_chaos_test netsim_fabric_test netsim_multicast_test \
            netsim_reliable_wakeup_test obs_metrics_test \
            lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-           lbc_standby_test lbc_random_workload_test base_sync_test; do
+           lbc_standby_test lbc_random_workload_test lbc_extensions_test \
+           base_sync_test; do
     echo "--- tsan: $t"
     # base_sync_test constructs intentional ABBA inversions to exercise the
     # repo's own lock-order detector; TSan's deadlock detector flags the same

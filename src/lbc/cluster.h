@@ -72,8 +72,8 @@ class Cluster {
   // Callers must ensure the named nodes are not actively committing.
   base::Status RecoverAndTrim(const std::vector<rvm::NodeId>& nodes);
 
-  // Merge + replay WITHOUT truncating (the caller resets the logs itself —
-  // used by lbc::OnlineTrim, where each client owns its log handle).
+  // Merge + replay WITHOUT truncating (used by lbc::OnlineTrim, which then
+  // trims each live client's log below the recorded baselines).
   base::Status ReplayAndRecordBaselines(const std::vector<std::string>& log_names);
 
   // Highest update sequence number for `lock` that is reflected in the

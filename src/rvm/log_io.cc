@@ -37,14 +37,6 @@ base::Status LogWriter::AppendBatch(const std::vector<base::ByteSpan>& payloads)
   return base::OkStatus();
 }
 
-base::Status LogWriter::Reset() {
-  RETURN_IF_ERROR(file_->Truncate(0));
-  RETURN_IF_ERROR(file_->Sync());
-  offset_ = 0;
-  records_ = 0;
-  return base::OkStatus();
-}
-
 base::Status LogReader::ReadNext(std::vector<uint8_t>* payload, bool* at_end) {
   *at_end = false;
   uint8_t header[kFrameHeaderSize];

@@ -59,9 +59,6 @@ class LogWriter {
   uint64_t bytes_written() const { return offset_; }
   uint64_t records_written() const { return records_; }
 
-  // Resets the log to empty (used by truncation after a checkpoint).
-  base::Status Reset();
-
  private:
   std::shared_ptr<store::DurableFile> file_;
   uint64_t offset_ = 0;

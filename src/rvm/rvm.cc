@@ -8,7 +8,6 @@
 #include "src/obs/metrics.h"
 #include "src/rvm/log_format.h"
 #include "src/rvm/page_checksum.h"
-#include "src/rvm/recovery.h"
 
 namespace rvm {
 namespace {
@@ -233,9 +232,9 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
 
     // Hard-watermark backpressure: stall (never abort) until a trim frees
     // log space or the stall budget runs out. The wait releases mu_, so a
-    // janitor thread can run TrimLogWithBaselines/ResetLog meanwhile; the
-    // first staller also fires the trim hook itself, exactly once per
-    // episode. Runs before the txn lookup because the lock is dropped.
+    // janitor thread can run TrimLogWithBaselines meanwhile; the first
+    // staller also fires the trim hook itself, exactly once per episode.
+    // Runs before the txn lookup because the lock is dropped.
     const uint64_t hard = options_.log_hard_limit_bytes;
     if (options_.disk_logging && hard > 0 && CurrentLogBytes() >= hard) {
       auto* bp = GlobalBackpressureMetrics();
@@ -743,29 +742,6 @@ uint64_t Rvm::commit_seq() const {
 
 uint64_t Rvm::log_bytes() const { return CurrentLogBytes(); }
 
-base::Status Rvm::ResetLog() {
-  base::MutexLock lock(mu_);
-  if (!options_.disk_logging) {
-    return base::OkStatus();
-  }
-  {
-    base::MutexLock log_lock(log_mu_);
-    WaitForAppendLocked(log_lock);
-    RETURN_IF_ERROR(log_->Reset());
-    synced_end_ = 0;
-    ++log_generation_;
-  }
-  // Per the contract, the caller's checkpoint covers any commit still
-  // waiting for its sync.
-  SettleSyncWaitersLocked(nullptr, base::OkStatus());
-  commit_cv_.NotifyAll();
-  // The trim that just ran ends the current backpressure episode: the next
-  // stall may fire the hook again.
-  trim_hook_fired_ = false;
-  log_space_cv_.NotifyAll();
-  return base::OkStatus();
-}
-
 base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines) {
   if (!options_.disk_logging) {
     return base::OkStatus();
@@ -807,9 +783,9 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   // throughout, and batch leaders keep appending until the swap. The first
   // attempt scans the synced log with no lock held, then takes log_mu_ to
   // read only the frames appended meanwhile (the same reader picks up where
-  // it stopped) and swap. If ResetLog, TruncateLog or another trim replaced
-  // the file in between, the generation moved and the scan is stale; the
-  // retry holds log_mu_ for the whole scan, so it cannot be raced again.
+  // it stopped) and swap. If another trim replaced the file in between,
+  // the generation moved and the scan is stale; the retry holds log_mu_ for
+  // the whole scan, so it cannot be raced again.
   const std::string log_name = LogFileName(node_);
   for (bool hold_for_scan : {false, true}) {
     RETURN_IF_ERROR(FlushLog());
@@ -869,28 +845,6 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   SettleSyncWaitersLocked(nullptr, base::OkStatus());
   commit_cv_.NotifyAll();
   // The trim that just ran ends the current backpressure episode.
-  trim_hook_fired_ = false;
-  log_space_cv_.NotifyAll();
-  return base::OkStatus();
-}
-
-base::Status Rvm::TruncateLog() {
-  base::MutexLock lock(mu_);
-  if (!options_.disk_logging) {
-    return base::FailedPrecondition("disk logging disabled");
-  }
-  {
-    base::MutexLock log_lock(log_mu_);
-    WaitForAppendLocked(log_lock);
-    RETURN_IF_ERROR(log_->Sync());
-    RETURN_IF_ERROR(ReplayLogsIntoDatabase(store_, {LogFileName(node_)}));
-    RETURN_IF_ERROR(log_->Reset());
-    synced_end_ = 0;
-    ++log_generation_;
-  }
-  // Every frame was just replayed into the database files.
-  SettleSyncWaitersLocked(nullptr, base::OkStatus());
-  commit_cv_.NotifyAll();
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();

@@ -79,10 +79,11 @@ struct RvmOptions {
   //
   // Watermarks over this node's redo-log size, both 0 (disabled) by default.
   // Crossing the soft watermark fires the trim hook after the commit that
-  // crossed it — the coherency layer's cue to schedule a checkpoint/trim
-  // (lbc::OnlineTrim / CheckpointFromStandby) before space runs out. At or
-  // above the hard watermark, new commits *stall* on a condvar until a trim
-  // frees space; the first staller fires the trim hook itself. Only when the
+  // crossed it — the coherency layer's cue to schedule a checkpoint and trim
+  // (lbc::OnlineTrim / CheckpointFromStandby, both ending in
+  // TrimLogWithBaselines) before space runs out. At or above the hard
+  // watermark, new commits *stall* on a condvar until a trim frees space;
+  // the first staller fires the trim hook itself. Only when the
   // stall budget expires with the log still full does EndTransaction fail,
   // with RESOURCE_EXHAUSTED — never an abort() — and the transaction left
   // active so the caller may retry after an out-of-band trim.
@@ -195,9 +196,8 @@ class Rvm {
   // the instance lock: once after a commit crosses the soft watermark, and
   // once per stall episode by the first committer blocked at the hard
   // watermark (that invocation runs on the stalled committer's thread, so
-  // the hook may call TrimLogWithBaselines/ResetLog on this instance — but
-  // must not commit through it). Set before threads start, like the commit
-  // hook.
+  // the hook may call TrimLogWithBaselines on this instance — but must not
+  // commit through it). Set before threads start, like the commit hook.
   using TrimHook = std::function<void(uint64_t log_bytes, uint64_t limit_bytes)>;
   void SetTrimHook(TrimHook hook) { trim_hook_ = std::move(hook); }
 
@@ -208,21 +208,8 @@ class Rvm {
 
   // --- maintenance ---------------------------------------------------------
 
-  // Single-node checkpoint: replays this node's committed log into the
-  // database files and resets the log. Only correct when no other node has
-  // written the shared regions since the last truncation; multi-node
-  // truncation goes through the storage server's merge (§3.5).
-  [[nodiscard]] base::Status TruncateLog();
-
-  // Empties the log WITHOUT applying it — for coordinated multi-node
-  // trimming (lbc::OnlineTrim), where the caller has already merged and
-  // replayed every node's log while writers were quiesced. Contract: the
-  // caller's checkpoint covers every commit appended before the reset, so
-  // a kFlush commit still waiting for its sync counts as durable once the
-  // log is reset.
-  [[nodiscard]] base::Status ResetLog();
-
-  // Selective trim for standby-driven checkpointing (no quiesce): drops
+  // The only way to shorten a live node's log, after a checkpoint (the
+  // standby's image write or lbc::OnlineTrim's merge and replay): drops
   // every committed record whose lock sequence numbers are ALL at or below
   // the given baselines (those updates are reflected in the checkpoint the
   // caller just wrote); everything else — newer records and lock-free
@@ -231,8 +218,8 @@ class Rvm {
   // alone is taken to copy the frames appended meanwhile (once any
   // in-flight append has finished) and swap in the trimmed file. The
   // instance lock is taken only briefly at the end, to close the
-  // backpressure episode. A ResetLog, TruncateLog or trim that
-  // swaps the file mid-scan forces one rescan under log_mu_.
+  // backpressure episode. Another trim that swaps the file mid-scan
+  // forces one rescan under log_mu_.
   [[nodiscard]] base::Status TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines)
       LBC_EXCLUDES(mu_, log_mu_);
 
@@ -326,8 +313,8 @@ class Rvm {
                          const BatchResult& result, bool* crossed_soft)
       LBC_REQUIRES(mu_);
 
-  // Waits until no append is writing with no lock held. Every path that
-  // replaces, empties or tail-reads the log calls it under log_mu_.
+  // Waits until no append is writing with no lock held. The trim calls it
+  // under log_mu_ before its locked tail scan and swap.
   void WaitForAppendLocked(base::MutexLock& log_lock) LBC_REQUIRES(log_mu_);
 
   // Sync stage. At most one sync is in flight: BeginSyncLocked claims it
@@ -376,7 +363,7 @@ class Rvm {
   // releasing it).
   mutable base::Mutex log_mu_{"rvm.log", base::LockRank::kRvmLog};
   std::unique_ptr<LogWriter> log_ LBC_GUARDED_BY(log_mu_);
-  // Bumped whenever the log file is replaced or emptied, so a trim that
+  // Bumped whenever a trim swaps in a new log file, so a trim that
   // scanned without log_mu_ can tell its scan went stale, and a commit
   // stamped in an older generation knows the swap made it durable.
   uint64_t log_generation_ LBC_GUARDED_BY(log_mu_) = 0;

@@ -2,12 +2,17 @@
 // capture mode (conclusion), and online log trimming (§3.5).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "src/lbc/client.h"
 #include "src/lbc/online_trim.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
+#include "tests/read_hook_store.h"
 
 namespace {
 
@@ -30,12 +35,23 @@ struct Fixture {
   std::vector<std::unique_ptr<lbc::Client>> clients;
 };
 
-void CommitByte(lbc::Client* c, uint64_t offset, uint8_t value) {
+// Commits `value` at `offset`, under kLock when `locked`, else lock-free.
+base::Status TryCommitByte(lbc::Client* c, uint64_t offset, uint8_t value,
+                           bool locked = true) {
   lbc::Transaction txn = c->Begin();
-  ASSERT_TRUE(txn.Acquire(kLock).ok());
-  ASSERT_TRUE(txn.SetRange(kRegion, offset, 1).ok());
+  base::Status st = locked ? txn.Acquire(kLock) : base::OkStatus();
+  if (st.ok()) {
+    st = txn.SetRange(kRegion, offset, 1);
+  }
+  if (!st.ok()) {
+    return st;
+  }
   c->GetRegion(kRegion)->data()[offset] = value;
-  ASSERT_TRUE(txn.Commit().ok());
+  return txn.Commit();
+}
+
+void CommitByte(lbc::Client* c, uint64_t offset, uint8_t value) {
+  ASSERT_TRUE(TryCommitByte(c, offset, value).ok());
 }
 
 // --- multicast ---------------------------------------------------------------
@@ -225,6 +241,118 @@ TEST(OnlineTrim, PostTrimCrashRecoversToTrimmedPlusNew) {
   rvm::Region* region = *fresh->MapRegion(kRegion, 8192);
   EXPECT_EQ(10, region->data()[0]);  // from before the trim (database file)
   EXPECT_EQ(20, region->data()[1]);  // from after the trim (post-trim log)
+}
+
+// Nodes 1 and 2 over a MemStore behind a ReadHookStore, so a test can stop
+// OnlineTrim at a known store op.
+struct HookedPair {
+  HookedPair() {
+    cluster = std::make_unique<lbc::Cluster>(&hooked);
+    cluster->DefineLock(kLock, kRegion, 1);
+    for (rvm::NodeId node : {1, 2}) {
+      clients.push_back(std::move(*lbc::Client::Create(cluster.get(), node, {})));
+      EXPECT_TRUE(clients.back()->MapRegion(kRegion, 8192).ok());
+    }
+  }
+  lbc::Client* operator[](int i) { return clients[i].get(); }
+
+  // Stops the nodes and the server, power-cuts the store, recovers both
+  // logs through a new server and returns the region a fresh client maps.
+  std::vector<uint8_t> CrashAndRecover() {
+    clients.clear();
+    cluster.reset();
+    mem.Crash();
+    lbc::Cluster recovered(&mem);
+    recovered.DefineLock(kLock, kRegion, 1);
+    EXPECT_TRUE(recovered.RecoverAndTrim({1, 2}).ok());
+    auto fresh = std::move(*lbc::Client::Create(&recovered, 3, {}));
+    rvm::Region* region = *fresh->MapRegion(kRegion, 8192);
+    return std::vector<uint8_t>(region->data(), region->data() + region->size());
+  }
+
+  store::MemStore mem;
+  lbc_test::ReadHookStore hooked{&mem};
+  std::unique_ptr<lbc::Cluster> cluster;
+  std::vector<std::unique_ptr<lbc::Client>> clients;
+};
+
+TEST(OnlineTrim, LockFreeCommitDuringTrimIsNotLost) {
+  // The segment locks quiesce only locked writers. A lock-free kFlush
+  // commit that lands while the merged logs are replayed is acknowledged
+  // but in no merged log, so the trim must keep it.
+  HookedPair fx;
+  CommitByte(fx[0], 0, 10);
+  std::atomic<bool> fired{false};
+  base::Status lock_free = base::Internal("the replay never wrote the database file");
+  fx.hooked.SetWriteHook(rvm::RegionFileName(kRegion), [&] {
+    if (!fired.exchange(true)) {
+      // On its own thread: this one holds the server's database-writer lock.
+      std::thread writer([&] {
+        lock_free = TryCommitByte(fx[1], 100, 77, /*locked=*/false);
+      });
+      writer.join();
+    }
+    return base::OkStatus();
+  });
+  ASSERT_TRUE(lbc::OnlineTrim(fx.cluster.get(), fx[0], {fx[0], fx[1]}).ok());
+  fx.hooked.SetWriteHook("", nullptr);
+  ASSERT_TRUE(lock_free.ok()) << lock_free.ToString();
+
+  std::vector<uint8_t> recovered = fx.CrashAndRecover();
+  EXPECT_EQ(10, recovered[0]);
+  EXPECT_EQ(77, recovered[100]) << "an acknowledged lock-free commit was lost";
+}
+
+TEST(OnlineTrim, WritersResumeBeforeTheLogsAreTrimmed) {
+  // The trim runs after the locks are released. Park it in its scan of
+  // node 2's log: node 2 must still acquire the lock and commit, and both
+  // the checkpointed byte and the byte committed while the trim was parked
+  // survive a crash.
+  HookedPair fx;
+  CommitByte(fx[0], 0, 10);
+  ASSERT_TRUE(fx[1]->WaitForAppliedSeq(kLock, 1, 5000));
+  // Armed once the merge has read the logs: its replay writes the database
+  // file next, so the latch parks the first read of node 2's log after it.
+  lbc_test::HookLatch latch;
+  std::atomic<bool> armed{false};
+  fx.hooked.SetWriteHook(rvm::RegionFileName(kRegion), [&] {
+    if (!armed.exchange(true)) {
+      fx.hooked.SetReadHook(rvm::LogFileName(2), latch.ReadHook());
+    }
+    return base::OkStatus();
+  });
+  base::Status trim_status;
+  std::thread trim([&] {
+    trim_status = lbc::OnlineTrim(fx.cluster.get(), fx[0], {fx[0], fx[1]});
+  });
+  if (!latch.WaitParked(std::chrono::seconds(10))) {
+    latch.Release();
+    trim.join();
+    FAIL() << "the trim never read node 2's log after the merge";
+  }
+  base::Status window = base::Internal("not committed");
+  std::atomic<bool> committed{false};
+  std::thread writer([&] {
+    window = TryCommitByte(fx[1], 1, 20);
+    committed = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!committed && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool committed_while_parked = committed;
+  latch.Release();
+  trim.join();
+  writer.join();
+  fx.hooked.SetReadHook("", nullptr);
+  fx.hooked.SetWriteHook("", nullptr);
+  EXPECT_TRUE(committed_while_parked) << "the writer waited for the trim";
+  ASSERT_TRUE(trim_status.ok()) << trim_status.ToString();
+  ASSERT_TRUE(window.ok()) << window.ToString();
+
+  std::vector<uint8_t> recovered = fx.CrashAndRecover();
+  EXPECT_EQ(10, recovered[0]);  // checkpointed, then trimmed from node 1's log
+  EXPECT_EQ(20, recovered[1]);  // committed while the trim was parked
 }
 
 TEST(OnlineTrim, CoordinatorMustMapLockedRegions) {

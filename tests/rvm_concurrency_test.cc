@@ -605,19 +605,23 @@ TEST(GroupCommit, TrimSwapBetweenAppendAndSyncMakesTheCommitDurable) {
   EXPECT_EQ(0xB2, region2->data()[1]);
 }
 
-TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
+TEST(RvmConcurrency, TrimRescansWhenAnotherTrimSwapsTheLogMidScan) {
   // A trim scans the log with no lock held. Park one in its scan after it
-  // has kept the first record, then reset the log, commit, and run a second
-  // trim on another thread. The parked scan is stale: it must start over,
-  // so nothing the reset removed comes back and nothing committed after the
-  // reset is lost.
+  // has kept the first record, then trim the log with a covering baseline,
+  // commit, and run a third trim on another thread. The parked scan is
+  // stale: it must start over, so nothing the covering trim removed comes
+  // back and nothing committed after it is lost.
   store::MemStore mem;
   lbc_test::ReadHookStore store(&mem);
   auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
   rvm::Region* region = *r->MapRegion(kRegion, 4096);
-  auto commit = [&](uint64_t offset, uint8_t value) {
+  constexpr rvm::LockId kLock = 9;
+  auto commit = [&](uint64_t offset, uint8_t value, uint64_t lock_seq = 0) {
     rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
     base::Status st = r->SetRange(txn, kRegion, offset, 1);
+    if (st.ok() && lock_seq != 0) {
+      st = r->SetLockId(txn, kLock, lock_seq);
+    }
     if (!st.ok()) {
       return st;
     }
@@ -625,7 +629,8 @@ TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
     return r->EndTransaction(txn, rvm::CommitMode::kFlush);
   };
   for (uint8_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(commit(i, 0xA0 + i).ok());  // removed by the reset below
+    // Locked, and removed by the covering trim below.
+    ASSERT_TRUE(commit(i, 0xA0 + i, /*lock_seq=*/i + 1).ok());
   }
 
   // Two reads pass (the first record's header and payload); the trim parks
@@ -649,12 +654,12 @@ TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
     FAIL() << "the trim never read the log";
   }
 
-  // Neither the reset nor the second trim may wait for the parked scan.
-  base::Status reset, post_reset, second_trim;
+  // Neither of the racer's trims may wait for the parked scan.
+  base::Status covering_trim, post_trim, second_trim;
   std::atomic<bool> raced{false};
   std::thread racer([&] {
-    reset = r->ResetLog();
-    post_reset = commit(10, 0xB0);
+    covering_trim = r->TrimLogWithBaselines({{kLock, 3}});
+    post_trim = commit(10, 0xB0);
     second_trim = r->TrimLogWithBaselines({});
     raced = true;
   });
@@ -668,39 +673,38 @@ TEST(RvmConcurrency, TrimRescansWhenResetAndTrimSwapTheLogMidScan) {
   racer.join();
   first.join();
   store.SetReadHook("", nullptr);
-  EXPECT_TRUE(raced_in_time) << "reset or second trim blocked behind the parked scan";
-  ASSERT_TRUE(reset.ok()) << reset.ToString();
-  ASSERT_TRUE(post_reset.ok()) << post_reset.ToString();
+  EXPECT_TRUE(raced_in_time) << "the racer's trims blocked behind the parked scan";
+  ASSERT_TRUE(covering_trim.ok()) << covering_trim.ToString();
+  ASSERT_TRUE(post_trim.ok()) << post_trim.ToString();
   ASSERT_TRUE(second_trim.ok()) << second_trim.ToString();
   ASSERT_TRUE(first_trim.ok()) << first_trim.ToString();
   EXPECT_GT(rescan_reads.load(), 0) << "the parked trim swapped a stale scan";
 
-  // The log holds exactly the post-reset commits, the one landing after
-  // both trims included.
+  // The log holds exactly the commits made after the covering trim, the
+  // one landing after every trim included.
   ASSERT_TRUE(commit(11, 0xC0).ok());
   auto kept = *rvm::ReadLogTransactions(&mem, rvm::LogFileName(1));
   ASSERT_EQ(2u, kept.size());
   EXPECT_EQ(10u, kept[0].ranges[0].offset);
   EXPECT_EQ(11u, kept[1].ranges[0].offset);
 
-  // Recovery agrees: the reset records stay gone (they were never applied
-  // to the database), the later two survive.
+  // Recovery agrees: the covered records stay gone (this test never
+  // applied them to the database), the later two survive.
   mem.Crash();
   ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&mem, {rvm::LogFileName(1)}).ok());
   auto r2 = std::move(*rvm::Rvm::Open(&mem, 2, rvm::RvmOptions{}));
   rvm::Region* region2 = *r2->MapRegion(kRegion, 4096);
   for (uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(0, region2->data()[i]) << "reset record " << i << " came back";
+    EXPECT_EQ(0, region2->data()[i]) << "covered record " << i << " came back";
   }
   EXPECT_EQ(0xB0, region2->data()[10]);
   EXPECT_EQ(0xC0, region2->data()[11]);
 }
 
-TEST(RvmConcurrency, TrimAndResetWaitForAnInFlightAppend) {
-  // The append leader writes with no lock held. A reset that emptied the
-  // log meanwhile would leave the write past the new end; a trim that
-  // copied the tail and swapped meanwhile would drop the record and leave
-  // the write in the replaced file. Both must wait for the write.
+TEST(RvmConcurrency, TrimWaitsForAnInFlightAppend) {
+  // The append leader writes with no lock held. A trim that copied the
+  // tail and swapped meanwhile would drop the record and leave the write in
+  // the replaced file, so it must wait for the write.
   store::MemStore mem;
   lbc_test::ReadHookStore store(&mem);
   auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
@@ -710,36 +714,8 @@ TEST(RvmConcurrency, TrimAndResetWaitForAnInFlightAppend) {
     return *file->Size();
   };
 
-  // Reset: B's write parks, ResetLog waits for it, then empties the log.
-  lbc_test::HookLatch reset_latch;
-  store.SetWriteHook(rvm::LogFileName(1), reset_latch.WriteHook());
-  base::Status b_status;
-  std::thread b([&] { CommitByte(r.get(), 1, 0xB2, &b_status); });
-  if (!reset_latch.WaitParked(std::chrono::seconds(10))) {
-    reset_latch.Release();
-    b.join();
-    FAIL() << "B never appended";
-  }
-  base::Status reset_status;
-  std::atomic<bool> reset_done{false};
-  std::thread reset([&] {
-    reset_status = r->ResetLog();
-    reset_done = true;
-  });
-  // Give the reset every chance to finish early.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const bool reset_early = reset_done;
-  reset_latch.Release();
-  reset.join();
-  b.join();
-  EXPECT_FALSE(reset_early) << "the reset ran while an append was in flight";
-  ASSERT_TRUE(reset_status.ok()) << reset_status.ToString();
-  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
-  EXPECT_EQ(0u, r->log_bytes());
-  EXPECT_EQ(0u, log_file_size());
-
-  // Trim: a checkpointed record, then A's write parks, and the trim scans
-  // to the end of the file and must not swap until A's write is done.
+  // A checkpointed record, then A's write parks, and the trim scans to
+  // the end of the file and must not swap until A's write is done.
   constexpr rvm::LockId kLock = 9;
   rvm::TxnId checkpointed = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   ASSERT_TRUE(r->SetRange(checkpointed, kRegion, 2, 1).ok());

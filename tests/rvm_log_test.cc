@@ -232,17 +232,4 @@ TEST(LogIo, CorruptedPayloadStopsRead) {
   EXPECT_TRUE(reader.tail_was_torn());
 }
 
-TEST(LogIo, ResetEmptiesLog) {
-  store::MemStore store;
-  auto file = std::move(*store.Open("log", true));
-  rvm::LogWriter writer(std::move(file));
-  auto payload = rvm::EncodeCheckpoint();
-  ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size())).ok());
-  ASSERT_TRUE(writer.Sync().ok());
-  ASSERT_TRUE(writer.Reset().ok());
-  EXPECT_EQ(0u, writer.bytes_written());
-  auto rfile = std::move(*store.Open("log", false));
-  EXPECT_EQ(0u, *rfile->Size());
-}
-
 }  // namespace
